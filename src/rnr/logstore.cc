@@ -8,7 +8,6 @@
 #include <cstring>
 #include <exception>
 #include <limits>
-#include <mutex>
 #include <thread>
 
 #include <fcntl.h>
@@ -16,7 +15,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "sim/arena.hh"
 #include "sim/faultinject.hh"
 #include "sim/jobs.hh"
 #include "sim/logging.hh"
@@ -337,42 +335,6 @@ decodeInterval(Cursor &c, bool first_in_chunk, sim::Isn &prev_cisn,
         iv.predecessors.push_back(dep);
     }
     return iv;
-}
-
-/**
- * Arena-staged variant for the parallel decoder: entries and edges are
- * decoded into bump-allocated scratch arrays (LogEntry and IntervalDep
- * are trivially copyable PODs), then bulk-assigned into the interval's
- * vectors — one exact-size allocation per field, no growth reallocs,
- * no per-object heap traffic during the decode itself. Field order,
- * caps and failure text are shared with decodeInterval(), so the two
- * paths are bit- and error-identical by construction.
- */
-void
-decodeIntervalArena(Cursor &c, bool first_in_chunk, sim::Isn &prev_cisn,
-                    std::uint64_t &prev_ts, sim::Arena &arena,
-                    IntervalRecord &iv)
-{
-    const std::uint64_t entry_count =
-        checkedCount(c, kMinEntryBits, "entry");
-    LogEntry *entries = arena.allocArray<LogEntry>(entry_count);
-    for (std::uint64_t e = 0; e < entry_count; ++e) {
-        entries[e] = LogEntry{};
-        decodeEntry(c, entries[e]);
-    }
-    decodeFrame(c, first_in_chunk, prev_cisn, prev_ts, iv);
-    const std::uint64_t dep_count = checkedCount(c, kMinDepBits, "dependency");
-    if (dep_count > 1u << 20)
-        c.fail("unreasonable dependency count");
-    IntervalDep *deps = arena.allocArray<IntervalDep>(dep_count);
-    for (std::uint64_t d = 0; d < dep_count; ++d) {
-        deps[d].core = static_cast<sim::CoreId>(c.varint());
-        deps[d].isn = c.varint();
-    }
-    if (entry_count != 0)
-        iv.entries.assign(entries, entries + entry_count);
-    if (dep_count != 0)
-        iv.predecessors.assign(deps, deps + dep_count);
 }
 
 } // namespace
@@ -872,90 +834,95 @@ LogWriter::finalizeFile()
 // --- LogReader ---
 
 void
-LogReader::setupIngest(IngestMode mode)
+LogReader::load()
 {
-    if (mode != IngestMode::Streamed) {
-        const int fd = ::open(path_.c_str(), O_RDONLY);
-        if (fd < 0) {
-            if (mode == IngestMode::Mmap)
-                throw LogStoreError("cannot open " + path_ +
-                                        " for reading",
-                                    0, -1, LogErrorKind::Io, errno);
-            // Auto: fall through to the streamed open below, which
-            // reports the error with its own (identical) message.
-        } else {
-            struct stat st = {};
-            if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-                void *m = ::mmap(nullptr,
-                                 static_cast<std::size_t>(st.st_size),
-                                 PROT_READ, MAP_PRIVATE, fd, 0);
-                if (m != MAP_FAILED) {
-                    map_ = static_cast<const std::uint8_t *>(m);
-                    mapBytes_ = static_cast<std::size_t>(st.st_size);
-                    fd_ = fd;
-                    fileBytes_ = mapBytes_;
-                    mode_ = IngestMode::Mmap;
-                    // Readahead hints: chunk walks are sequential, and
-                    // replay wants the whole file resident anyway.
-                    (void)::posix_madvise(
-                        m, mapBytes_, POSIX_MADV_SEQUENTIAL);
-                    (void)::posix_madvise(
-                        m, mapBytes_, POSIX_MADV_WILLNEED);
-                    return;
-                }
-            }
+    const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        throw LogStoreError("cannot open " + path_ + " for reading", 0, -1,
+                            LogErrorKind::Io, errno);
+    struct stat st = {};
+    if (::fstat(fd, &st) != 0) {
+        const int err = errno;
+        ::close(fd);
+        throw LogStoreError("cannot stat " + path_, 0, -1,
+                            LogErrorKind::Io, err);
+    }
+    const bool regular = S_ISREG(st.st_mode);
+    if (regular && st.st_size > 0) {
+        const auto size = static_cast<std::size_t>(st.st_size);
+        void *m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+        if (m != MAP_FAILED) {
+            ::close(fd); // the mapping outlives the descriptor
+            map_ = {static_cast<const std::uint8_t *>(m), Unmap{size}};
+            bytes_ = std::span<const std::uint8_t>(map_.get(), size);
+            // Readahead hints: chunk walks are sequential, and replay
+            // wants the whole file resident anyway.
+            (void)::posix_madvise(m, size, POSIX_MADV_SEQUENTIAL);
+            (void)::posix_madvise(m, size, POSIX_MADV_WILLNEED);
+            return;
+        }
+    } else if (!regular && !S_ISFIFO(st.st_mode) && !S_ISSOCK(st.st_mode)) {
+        // Devices and directories are never logs, and some (/dev/zero,
+        // /dev/urandom) never reach EOF: refuse them before any read.
+        ::close(fd);
+        throw LogStoreError(path_ + " is not a regular file, pipe or socket",
+                            0, -1, LogErrorKind::Io, ENODEV);
+    }
+    // Pipes, FIFOs, /dev/stdin and unmappable filesystems: read the
+    // descriptor already open to EOF, never the path again — a FIFO's
+    // writer is gone once its first reader has closed it. The magic is
+    // checked as soon as the header has arrived, so a stream that is not
+    // a log is dropped after its first bytes instead of buffered whole.
+    owned_.resize(std::max<std::size_t>(
+        regular ? static_cast<std::size_t>(st.st_size) + 1 : 0, 1 << 16));
+    std::size_t got = 0;
+    bool magicChecked = false;
+    for (;;) {
+        if (got == owned_.size())
+            owned_.resize(owned_.size() * 2);
+        const ssize_t n = ::read(fd, owned_.data() + got,
+                                 owned_.size() - got);
+        if (n == 0)
+            break;
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            const int err = errno;
             ::close(fd);
-            if (mode == IngestMode::Mmap)
-                throw LogStoreError("cannot mmap " + path_, 0, -1,
-                                    LogErrorKind::Io,
-                                    errno != 0 ? errno : EINVAL);
-            // Auto: unmappable (empty file, odd filesystem) — stream.
+            throw LogStoreError("read failed on " + path_, got, -1,
+                                LogErrorKind::Io, err);
+        }
+        got += static_cast<std::size_t>(n);
+        // Only once the whole header is in, so a short stream still fails
+        // as "shorter than the header", exactly as a short mapped file.
+        if (!magicChecked && got >= fmt::kFileHeaderBytes) {
+            magicChecked = true;
+            if (std::memcmp(owned_.data(), fmt::kMagic.data(),
+                            fmt::kMagic.size()) != 0) {
+                ::close(fd);
+                throw LogStoreError("bad magic: not an .rrlog file", 0);
+            }
         }
     }
-    in_.open(path_, std::ios::binary);
-    if (!in_)
-        throw LogStoreError("cannot open " + path_ + " for reading", 0,
-                            -1, LogErrorKind::Io, errno);
-    in_.seekg(0, std::ios::end);
-    fileBytes_ = static_cast<std::uint64_t>(in_.tellg());
-    in_.seekg(0);
-    mode_ = IngestMode::Streamed;
-}
-
-LogReader::~LogReader()
-{
-    if (map_)
-        ::munmap(const_cast<std::uint8_t *>(map_), mapBytes_);
-    if (fd_ >= 0)
-        ::close(fd_);
+    ::close(fd);
+    owned_.resize(got);
+    bytes_ = owned_;
 }
 
 void
-LogReader::readBytesAt(std::uint64_t offset, std::uint8_t *dest,
-                       std::size_t n)
+LogReader::Unmap::operator()(const std::uint8_t *p) const
 {
-    if (map_) {
-        std::memcpy(dest, map_ + offset, n);
-        return;
-    }
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(offset));
-    in_.read(reinterpret_cast<char *>(dest),
-             static_cast<std::streamsize>(n));
-    if (!in_)
-        throw LogStoreError("read failed", offset, -1, LogErrorKind::Io,
-                            errno);
+    ::munmap(const_cast<std::uint8_t *>(p), bytes);
 }
 
-LogReader::LogReader(const std::string &path, IngestMode mode)
+LogReader::LogReader(const std::string &path)
     : path_(path)
 {
-    setupIngest(mode);
+    load();
 
-    std::uint8_t h[fmt::kFileHeaderBytes];
-    if (fileBytes_ < fmt::kFileHeaderBytes)
+    if (bytes_.size() < fmt::kFileHeaderBytes)
         throw LogStoreError("file shorter than the 24-byte header", 0);
-    readBytesAt(0, h, sizeof h);
+    const std::uint8_t *h = bytes_.data();
     if (std::memcmp(h, fmt::kMagic.data(), 4) != 0)
         throw LogStoreError("bad magic: not an .rrlog file", 0);
     if (fmt::crc32(h, fmt::kFileHeaderBytes - 4) !=
@@ -976,6 +943,7 @@ LogReader::LogReader(const std::string &path, IngestMode mode)
     if (!readChunkAt(fmt::kFileHeaderBytes, meta_chunk))
         throw LogStoreError("file ends before the meta chunk",
                             fmt::kFileHeaderBytes);
+    checkPayloadCrc(meta_chunk);
     if (meta_chunk.header.type != ChunkType::Meta)
         throw LogStoreError("first chunk is not the meta chunk",
                             meta_chunk.offset, 0);
@@ -998,72 +966,47 @@ LogReader::LogReader(const std::string &path, IngestMode mode)
     if (meta_.cores != coreCount_)
         throw LogStoreError("header core count disagrees with meta chunk",
                             meta_chunk.offset, 0);
-    firstDataOffset_ = meta_chunk.offset + fmt::kChunkHeaderBytes +
-                       meta_chunk.header.payloadBytes();
+    firstDataOffset_ = meta_chunk.end();
 }
 
 bool
-LogReader::readChunkAt(std::uint64_t offset, Chunk &out,
-                       bool verify_payload_crc)
+LogReader::readChunkAt(std::uint64_t offset, Chunk &out) const
 {
-    if (offset == fileBytes_)
+    const std::uint64_t file_bytes = bytes_.size();
+    if (offset == file_bytes)
         return false; // clean boundary; caller checks for End chunk
-    if (offset + fmt::kChunkHeaderBytes > fileBytes_)
+    if (offset + fmt::kChunkHeaderBytes > file_bytes)
         throw LogStoreError("truncated chunk header", offset);
-    const std::uint8_t *hp;
-    std::uint8_t h[fmt::kChunkHeaderBytes];
-    if (map_) {
-        hp = map_ + offset; // header validated in place, no copy
-    } else {
-        in_.clear();
-        in_.seekg(static_cast<std::streamoff>(offset));
-        in_.read(reinterpret_cast<char *>(h), sizeof h);
-        if (!in_)
-            throw LogStoreError("read failed on chunk header", offset,
-                                -1, LogErrorKind::Io, errno);
-        hp = h;
-    }
-    if (!fmt::ChunkHeader::decode(hp, out.header))
+    if (!fmt::ChunkHeader::decode(bytes_.data() + offset, out.header))
         throw LogStoreError("chunk header CRC mismatch "
                             "(corrupt or misaligned framing)",
                             offset);
     out.offset = offset;
     const std::uint64_t payload_bytes = out.header.payloadBytes();
-    if (offset + fmt::kChunkHeaderBytes + payload_bytes > fileBytes_)
+    if (payload_bytes > file_bytes - offset - fmt::kChunkHeaderBytes)
         throw LogStoreError(
             "truncated chunk: header promises " +
                 std::to_string(payload_bytes) +
                 " payload bytes but the file ends first",
             offset, static_cast<std::int64_t>(out.header.seq));
-    if (map_) {
-        // Zero-copy: the payload view points straight into the page
-        // cache; the CRC pass below is the only full touch.
-        out.owned.clear();
-        out.payload = std::span<const std::uint8_t>(
-            map_ + offset + fmt::kChunkHeaderBytes, payload_bytes);
-    } else {
-        out.owned.resize(payload_bytes);
-        in_.read(reinterpret_cast<char *>(out.owned.data()),
-                 static_cast<std::streamsize>(payload_bytes));
-        if (!in_)
-            throw LogStoreError(
-                "read failed on chunk payload", offset,
-                static_cast<std::int64_t>(out.header.seq),
-                LogErrorKind::Io, errno);
-        out.payload = out.owned;
-    }
-    if (verify_payload_crc &&
-        fmt::crc32(out.payload.data(), out.payload.size()) !=
-            out.header.payloadCrc)
-        throw LogStoreError("chunk payload CRC mismatch", offset,
-                            static_cast<std::int64_t>(out.header.seq));
+    out.payload =
+        bytes_.subspan(offset + fmt::kChunkHeaderBytes, payload_bytes);
     return true;
+}
+
+void
+LogReader::checkPayloadCrc(const Chunk &chunk) const
+{
+    if (fmt::crc32(chunk.payload.data(), chunk.payload.size()) !=
+        chunk.header.payloadCrc)
+        throw LogStoreError("chunk payload CRC mismatch", chunk.offset,
+                            static_cast<std::int64_t>(chunk.header.seq));
 }
 
 void
 LogReader::decodeDataChunk(
     const Chunk &chunk,
-    const std::function<bool(sim::CoreId, const IntervalRecord &)> &fn)
+    const std::function<bool(sim::CoreId, IntervalRecord &)> &fn) const
 {
     const auto seq = static_cast<std::int64_t>(chunk.header.seq);
     if (chunk.header.core >= coreCount_)
@@ -1078,8 +1021,7 @@ LogReader::decodeDataChunk(
     sim::Isn prev_cisn = 0;
     std::uint64_t prev_ts = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        const IntervalRecord iv =
-            decodeInterval(c, i == 0, prev_cisn, prev_ts);
+        IntervalRecord iv = decodeInterval(c, i == 0, prev_cisn, prev_ts);
         if (!fn(chunk.header.core, iv))
             return; // early stop: skip the trailing-bits check too
     }
@@ -1087,243 +1029,139 @@ LogReader::decodeDataChunk(
         c.fail("trailing bits after the last interval");
 }
 
-bool
-LogReader::walkIntervals(
-    const std::function<bool(sim::CoreId, const IntervalRecord &,
-                             const ChunkView &)> &fn)
+LogReader::Framing
+LogReader::scanChunks(const std::function<bool(const Chunk &)> &on_data)
 {
-    std::uint64_t offset = firstDataOffset_;
+    Framing f;
+    f.end = firstDataOffset_;
     std::uint64_t expected_seq = 1; // the meta chunk was seq 0
-    bool clean_end = false;
-    bool stopped = false;
     Chunk chunk;
-    while (readChunkAt(offset, chunk)) {
+    while (!f.cleanEnd && readChunkAt(f.end, chunk)) {
+        const auto seq = static_cast<std::int64_t>(chunk.header.seq);
         if (chunk.header.seq != expected_seq)
-            throw LogStoreError(
-                "chunk sequence break: expected " +
-                    std::to_string(expected_seq) + ", found " +
-                    std::to_string(chunk.header.seq),
-                chunk.offset,
-                static_cast<std::int64_t>(chunk.header.seq));
+            throw LogStoreError("chunk sequence break: expected " +
+                                    std::to_string(expected_seq) +
+                                    ", found " +
+                                    std::to_string(chunk.header.seq),
+                                chunk.offset, seq);
         ++expected_seq;
-        switch (chunk.header.type) {
-          case ChunkType::Data: {
-            const ChunkView view{chunk.header.seq, chunk.offset,
-                                 chunk.header.payloadBits};
-            decodeDataChunk(chunk, [&](sim::CoreId core,
-                                       const IntervalRecord &iv) {
-                stopped = !fn(core, iv, view);
-                return !stopped;
-            });
-            break;
-          }
-          case ChunkType::Summary: {
-            Cursor c(chunk.payload, chunk.header.payloadBits,
-                     chunk.offset,
-                     static_cast<std::int64_t>(chunk.header.seq));
-            summary_ = decodeSummary(c);
-            haveSummary_ = true;
-            break;
-          }
-          case ChunkType::End:
-            clean_end = true;
-            break;
-          case ChunkType::Meta:
-            throw LogStoreError("duplicate meta chunk", chunk.offset,
-                                static_cast<std::int64_t>(
-                                    chunk.header.seq));
-        }
-        if (stopped)
-            return false; // caller bailed; nothing further is read
-        offset =
-            chunk.offset + fmt::kChunkHeaderBytes +
-            chunk.header.payloadBytes();
-        if (clean_end)
-            break;
-    }
-    if (!clean_end)
-        throw LogStoreError(
-            "no end-of-log marker: the recording was truncated "
-            "(LogWriter::finish never ran or the file was cut short)",
-            offset);
-    if (offset != fileBytes_)
-        throw LogStoreError("trailing bytes after the end-of-log marker",
-                            offset);
-    return true;
-}
-
-void
-LogReader::forEachInterval(
-    const std::function<void(sim::CoreId, const IntervalRecord &,
-                             std::uint64_t, std::uint64_t)> &fn)
-{
-    walkIntervals([&](sim::CoreId core, const IntervalRecord &iv,
-                      const ChunkView &view) {
-        fn(core, iv, view.seq, view.offset);
-        return true;
-    });
-}
-
-std::vector<CoreLog>
-LogReader::readAll()
-{
-    std::vector<CoreLog> logs(coreCount_);
-    forEachInterval([&](sim::CoreId core, const IntervalRecord &iv,
-                        std::uint64_t, std::uint64_t) {
-        logs[core].intervals.push_back(iv);
-    });
-    return logs;
-}
-
-std::vector<CoreLog>
-LogReader::readAllParallel(std::uint32_t workers)
-{
-    // ---- Pass 1 (sequential): framing. Hop chunk headers, verify
-    // sequence continuity, decode the (small) Summary, find the End
-    // marker. Data-chunk payload CRCs and varint decode — the actual
-    // byte-crunching — are deferred to the parallel pass. Any framing
-    // error is *captured*, not thrown: a data chunk earlier in the
-    // file may fail in pass 2, and the earliest file offset must win
-    // so a damaged file reports exactly what readAll() would.
-    std::vector<Chunk> chunks;
-    std::unique_ptr<LogStoreError> scan_error;
-    auto capture = [&](const LogStoreError &e) {
-        scan_error = std::make_unique<LogStoreError>(e);
-    };
-    std::uint64_t offset = firstDataOffset_;
-    std::uint64_t expected_seq = 1;
-    bool clean_end = false;
-    try {
-        Chunk chunk;
-        for (;;) {
-            if (!readChunkAt(offset, chunk,
-                             /*verify_payload_crc=*/false))
-                break;
-            if (chunk.header.seq != expected_seq)
-                throw LogStoreError(
-                    "chunk sequence break: expected " +
-                        std::to_string(expected_seq) + ", found " +
-                        std::to_string(chunk.header.seq),
-                    chunk.offset,
-                    static_cast<std::int64_t>(chunk.header.seq));
-            ++expected_seq;
-            offset = chunk.offset + fmt::kChunkHeaderBytes +
-                     chunk.header.payloadBytes();
+        ++f.chunks;
+        if (chunk.header.type == ChunkType::Data) {
+            // Data payloads are the bulk of the file: on_data decides
+            // whether (and on which thread) they are CRC'd and decoded.
+            if (!on_data(chunk))
+                return f;
+        } else {
+            checkPayloadCrc(chunk);
             switch (chunk.header.type) {
-              case ChunkType::Data:
-                chunks.push_back(std::move(chunk));
-                if (!chunks.back().owned.empty())
-                    chunks.back().payload = chunks.back().owned;
-                chunk = Chunk{};
-                break;
               case ChunkType::Summary: {
-                if (fmt::crc32(chunk.payload.data(),
-                               chunk.payload.size()) !=
-                    chunk.header.payloadCrc)
-                    throw LogStoreError(
-                        "chunk payload CRC mismatch", chunk.offset,
-                        static_cast<std::int64_t>(chunk.header.seq));
                 Cursor c(chunk.payload, chunk.header.payloadBits,
-                         chunk.offset,
-                         static_cast<std::int64_t>(chunk.header.seq));
+                         chunk.offset, seq);
                 summary_ = decodeSummary(c);
                 haveSummary_ = true;
                 break;
               }
               case ChunkType::End:
-                if (fmt::crc32(chunk.payload.data(),
-                               chunk.payload.size()) !=
-                    chunk.header.payloadCrc)
-                    throw LogStoreError(
-                        "chunk payload CRC mismatch", chunk.offset,
-                        static_cast<std::int64_t>(chunk.header.seq));
-                clean_end = true;
+                f.cleanEnd = true;
                 break;
               case ChunkType::Meta:
-                throw LogStoreError(
-                    "duplicate meta chunk", chunk.offset,
-                    static_cast<std::int64_t>(chunk.header.seq));
-            }
-            if (clean_end)
+                throw LogStoreError("duplicate meta chunk", chunk.offset,
+                                    seq);
+              case ChunkType::Data:
                 break;
+            }
         }
-        if (!scan_error) {
-            if (!clean_end)
-                throw LogStoreError(
-                    "no end-of-log marker: the recording was truncated "
-                    "(LogWriter::finish never ran or the file was cut "
-                    "short)",
-                    offset);
-            if (offset != fileBytes_)
-                throw LogStoreError(
-                    "trailing bytes after the end-of-log marker",
-                    offset);
+        f.end = chunk.end();
+    }
+    if (f.cleanEnd && f.end != bytes_.size())
+        throw LogStoreError("trailing bytes after the end-of-log marker",
+                            f.end);
+    return f;
+}
+
+void
+LogReader::requireEnd(const Framing &f)
+{
+    if (!f.cleanEnd)
+        throw LogStoreError(
+            "no end-of-log marker: the recording was truncated "
+            "(LogWriter::finish never ran or the file was cut short)",
+            f.end);
+}
+
+bool
+LogReader::walkIntervals(
+    const std::function<bool(sim::CoreId, const IntervalRecord &,
+                             const ChunkView &)> &fn)
+{
+    // Mapped pages behind the walk are dropped (they fault back in
+    // from the file if read again), so a streaming consumer keeps
+    // about one chunk resident. The read-to-EOF buffer is the only
+    // copy of its bytes and is left alone.
+    static const std::uint64_t page =
+        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    std::uint64_t released = 0;
+    bool stopped = false;
+    const Framing f = scanChunks([&](const Chunk &chunk) {
+        checkPayloadCrc(chunk);
+        const ChunkView view{chunk.header.seq, chunk.offset,
+                             chunk.header.payloadBits};
+        decodeDataChunk(chunk, [&](sim::CoreId core, IntervalRecord &iv) {
+            stopped = !fn(core, iv, view);
+            return !stopped;
+        });
+        const std::uint64_t passed = chunk.end() / page * page;
+        if (map_ && passed > released) {
+            auto *base = const_cast<std::uint8_t *>(map_.get());
+            (void)::madvise(base + released, passed - released,
+                            MADV_DONTNEED);
+            released = passed;
         }
-    } catch (const LogStoreError &e) {
-        capture(e);
+        return !stopped;
+    });
+    if (stopped)
+        return false; // caller bailed; nothing further is read
+    requireEnd(f);
+    return true;
+}
+
+std::vector<CoreLog>
+LogReader::readAll()
+{
+    return readAllParallel(1);
+}
+
+std::vector<CoreLog>
+LogReader::readAllParallel(std::uint32_t workers)
+{
+    // ---- Framing (sequential): collect the data chunks. A framing
+    // error is *captured*, not thrown: a data chunk earlier in the
+    // file may fail to decode, and the earliest file offset must win.
+    std::vector<Chunk> chunks;
+    std::exception_ptr scan_error;
+    try {
+        requireEnd(scanChunks([&](const Chunk &chunk) {
+            chunks.push_back(chunk);
+            return true;
+        }));
+    } catch (const LogStoreError &) {
+        scan_error = std::current_exception();
     }
 
-    // ---- Pass 2 (parallel): per-chunk CRC + varint decode. Chunks
-    // are independent (the delta codec resets per chunk), so each
-    // task stages its own interval vector; per-worker arenas absorb
-    // the entry/dependency scratch. Affinity hint = producing core,
-    // which keeps a core's chunk stream on one worker and its arena
-    // warm.
-    struct ArenaPool
-    {
-        std::mutex mu;
-        std::vector<std::unique_ptr<sim::Arena>> free;
-
-        std::unique_ptr<sim::Arena>
-        acquire()
-        {
-            std::lock_guard lock(mu);
-            if (free.empty())
-                return std::make_unique<sim::Arena>();
-            auto a = std::move(free.back());
-            free.pop_back();
-            return a;
-        }
-        void
-        release(std::unique_ptr<sim::Arena> a)
-        {
-            std::lock_guard lock(mu);
-            free.push_back(std::move(a));
-        }
-    } arenas;
-
+    // ---- Decode: per-chunk CRC + varint decode. Chunks are
+    // independent (the delta codec resets per chunk), so each task
+    // fills its own interval vector. Affinity hint = producing core,
+    // which keeps a core's chunk stream on one worker.
     std::vector<std::vector<IntervalRecord>> staged(chunks.size());
     std::vector<std::exception_ptr> errors(chunks.size());
     auto decode_one = [&](std::size_t i) {
-        const Chunk &ch = chunks[i];
         try {
-            if (fmt::crc32(ch.payload.data(), ch.payload.size()) !=
-                ch.header.payloadCrc)
-                throw LogStoreError(
-                    "chunk payload CRC mismatch", ch.offset,
-                    static_cast<std::int64_t>(ch.header.seq));
-            auto arena = arenas.acquire();
-            arena->reset();
-            const auto seq = static_cast<std::int64_t>(ch.header.seq);
-            if (ch.header.core >= coreCount_)
-                throw LogStoreError(
-                    "data chunk names core " +
-                        std::to_string(ch.header.core) +
-                        " but the file has " +
-                        std::to_string(coreCount_) + " cores",
-                    ch.offset, seq);
-            Cursor c(ch.payload, ch.header.payloadBits, ch.offset, seq);
-            const std::uint64_t count =
-                checkedCount(c, kMinIntervalBits, "interval");
-            staged[i].resize(count);
-            sim::Isn prev_cisn = 0;
-            std::uint64_t prev_ts = 0;
-            for (std::uint64_t k = 0; k < count; ++k)
-                decodeIntervalArena(c, k == 0, prev_cisn, prev_ts,
-                                    *arena, staged[i][k]);
-            if (!c.atEnd())
-                c.fail("trailing bits after the last interval");
-            arenas.release(std::move(arena));
+            checkPayloadCrc(chunks[i]);
+            decodeDataChunk(chunks[i],
+                            [&](sim::CoreId, IntervalRecord &iv) {
+                                staged[i].push_back(std::move(iv));
+                                return true;
+                            });
         } catch (...) {
             errors[i] = std::current_exception();
         }
@@ -1350,7 +1188,7 @@ LogReader::readAllParallel(std::uint32_t workers)
         if (errors[i])
             std::rethrow_exception(errors[i]);
     if (scan_error)
-        throw *scan_error;
+        std::rethrow_exception(scan_error);
 
     // ---- Stitch: file order per core == interval order (the writer
     // flushes each core's chunks in close order).
@@ -1377,43 +1215,19 @@ LogReader::info()
     info.fingerprint = fingerprint_;
     info.coreCount = coreCount_;
     info.meta = meta_;
-    info.fileBytes = fileBytes_;
-    info.chunks = 1; // the meta chunk
-    std::uint64_t offset = firstDataOffset_;
-    Chunk chunk;
-    while (readChunkAt(offset, chunk)) {
-        ++info.chunks;
-        switch (chunk.header.type) {
-          case ChunkType::Data:
-            ++info.dataChunks;
-            info.payloadBits += chunk.header.payloadBits;
-            decodeDataChunk(chunk, [&](sim::CoreId,
-                                       const IntervalRecord &) {
-                ++info.intervals;
-                return true;
-            });
-            break;
-          case ChunkType::Summary: {
-            Cursor c(chunk.payload, chunk.header.payloadBits,
-                     chunk.offset,
-                     static_cast<std::int64_t>(chunk.header.seq));
-            summary_ = decodeSummary(c);
-            haveSummary_ = true;
-            break;
-          }
-          case ChunkType::End:
-            info.cleanEnd = true;
-            break;
-          case ChunkType::Meta:
-            throw LogStoreError("duplicate meta chunk", chunk.offset,
-                                static_cast<std::int64_t>(
-                                    chunk.header.seq));
-        }
-        offset = chunk.offset + fmt::kChunkHeaderBytes +
-                 chunk.header.payloadBytes();
-        if (info.cleanEnd)
-            break;
-    }
+    info.fileBytes = bytes_.size();
+    const Framing f = scanChunks([&](const Chunk &chunk) {
+        ++info.dataChunks;
+        info.payloadBits += chunk.header.payloadBits;
+        checkPayloadCrc(chunk);
+        decodeDataChunk(chunk, [&](sim::CoreId, IntervalRecord &) {
+            ++info.intervals;
+            return true;
+        });
+        return true;
+    });
+    info.chunks = 1 + f.chunks; // the meta chunk, then the scanned ones
+    info.cleanEnd = f.cleanEnd;
     info.hasSummary = haveSummary_;
     if (haveSummary_)
         info.summary = summary_;
@@ -1423,14 +1237,12 @@ LogReader::info()
 RecordingSummary
 LogReader::summary()
 {
-    if (!haveSummary_) {
-        forEachInterval([](sim::CoreId, const IntervalRecord &,
-                           std::uint64_t, std::uint64_t) {});
-    }
+    if (!haveSummary_)
+        requireEnd(scanChunks([](const Chunk &) { return true; }));
     if (!haveSummary_)
         throw LogStoreError("file has no summary chunk "
                             "(recording was never finished)",
-                            fileBytes_);
+                            bytes_.size());
     return summary_;
 }
 
@@ -1453,7 +1265,7 @@ LogReader::verify()
     while (true) {
         Chunk chunk;
         try {
-            if (!readChunkAt(offset, chunk, /*verify_payload_crc=*/false))
+            if (!readChunkAt(offset, chunk))
                 break;
         } catch (const LogStoreError &e) {
             // Framing is unrecoverable: without a trusted header we
@@ -1504,8 +1316,7 @@ LogReader::verify()
                 note(e.fileOffset(), e.chunkSeq(), e.what());
             }
         }
-        offset = chunk.offset + fmt::kChunkHeaderBytes +
-                 chunk.header.payloadBytes();
+        offset = chunk.end();
         if (clean_end)
             break;
     }
@@ -1513,7 +1324,7 @@ LogReader::verify()
     if (!clean_end)
         note(offset, -1,
              "no end-of-log marker: the recording was truncated");
-    else if (offset != fileBytes_)
+    else if (offset != bytes_.size())
         note(offset, -1, "trailing bytes after the end-of-log marker");
     if (!have_summary && !partial())
         note(offset, -1, "file has no summary chunk");
@@ -1556,8 +1367,7 @@ LogReader::recoverPrefix()
     while (!rec.cleanEnd) {
         Chunk chunk;
         try {
-            if (!readChunkAt(offset, chunk,
-                             /*verify_payload_crc=*/false))
+            if (!readChunkAt(offset, chunk))
                 break;
         } catch (const LogStoreError &e) {
             // Broken framing: without a trusted chunk header there is
@@ -1600,8 +1410,8 @@ LogReader::recoverPrefix()
             std::vector<IntervalRecord> staged;
             try {
                 decodeDataChunk(chunk,
-                                [&](sim::CoreId, const IntervalRecord &iv) {
-                                    staged.push_back(iv);
+                                [&](sim::CoreId, IntervalRecord &iv) {
+                                    staged.push_back(std::move(iv));
                                     return true;
                                 });
             } catch (const LogStoreError &e) {
@@ -1646,8 +1456,7 @@ LogReader::recoverPrefix()
             note(chunk.offset, seq, "duplicate meta chunk; ignored");
             break;
         }
-        offset = chunk.offset + fmt::kChunkHeaderBytes +
-                 chunk.header.payloadBytes();
+        offset = chunk.end();
         rec.usableBytes = offset;
     }
     rec.coreTruncated.resize(coreCount_);

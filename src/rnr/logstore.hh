@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -367,48 +366,28 @@ std::uint64_t consistentCut(std::vector<CoreLog> &logs,
                             const std::vector<bool> &truncated = {});
 
 /**
- * How a LogReader gets bytes off the disk.
- *
- * Mmap is the zero-copy fast path: the file is mapped read-only with
- * sequential readahead hints, chunk payloads are handed to the decoder
- * as `std::span` views straight into the page cache, and nothing is
- * copied until intervals materialize. Streamed is the portable
- * fallback (ifstream + owned payload buffers) and the only mode that
- * bounds peak RSS below the file size. Auto tries mmap and silently
- * falls back to streaming when the mapping fails (exotic filesystems,
- * 32-bit address pressure). Both modes produce bit-identical results
- * and byte-identical error messages — the corruption-matrix tests run
- * against both.
- */
-enum class IngestMode
-{
-    Auto,
-    Streamed,
-    Mmap,
-};
-
-/**
- * Integrity-checking .rrlog reader. The constructor validates the file
- * header and the Meta chunk (magic, version, header CRC, fingerprint)
- * and throws LogStoreError on any mismatch; the walking entry points
- * below validate each chunk's framing and payload CRC as they go.
+ * Integrity-checking .rrlog reader. The constructor opens the path
+ * once and holds the whole file as one byte span: a non-empty regular
+ * file is mapped read-only (zero-copy, sequential readahead hints);
+ * anything else — a pipe, a FIFO, /dev/stdin, a filesystem that
+ * refuses mmap — is read from that same descriptor to EOF into one
+ * owned buffer. Every entry point below works on that span. The
+ * constructor validates the file header and the Meta chunk (magic,
+ * version, header CRC, fingerprint) and throws LogStoreError on any
+ * mismatch; the walking entry points validate each chunk's framing and
+ * payload CRC as they go.
  */
 class LogReader
 {
   public:
-    explicit LogReader(const std::string &path,
-                       IngestMode mode = IngestMode::Auto);
-    ~LogReader();
+    explicit LogReader(const std::string &path);
 
-    /** The mapping (mmap mode) is single-owner; readers don't copy. */
+    /** The mapping is single-owner; readers don't copy. */
     LogReader(const LogReader &) = delete;
     LogReader &operator=(const LogReader &) = delete;
 
     const std::string &path() const { return path_; }
-    /** The ingest mode actually in effect (Auto never survives
-     *  construction: it resolves to Mmap or Streamed). */
-    IngestMode ingestMode() const { return mode_; }
-    std::uint64_t fileBytes() const { return fileBytes_; }
+    std::uint64_t fileBytes() const { return bytes_.size(); }
     std::uint16_t version() const { return version_; }
     std::uint16_t flags() const { return flags_; }
     /** Whether the file is flagged as a deliberate partial recording. */
@@ -421,7 +400,9 @@ class LogReader
 
     /**
      * Walk every chunk once, collecting file-level facts (including the
-     * Summary when present). Throws on the first integrity failure.
+     * Summary when present). Throws on the first integrity failure,
+     * except that a file ending on a chunk boundary without its End
+     * marker reports cleanEnd = false instead.
      */
     LogFileInfo info();
 
@@ -434,52 +415,43 @@ class LogReader
     };
 
     /**
-     * Decode intervals in file order, one chunk at a time (peak memory
-     * is one chunk, not the file), invoking @p fn with the producing
-     * core, the reconstructed interval (cycle is not persisted and
-     * reads back 0) and the source chunk. @p fn returning false stops
-     * the walk immediately — no further chunk is read or validated —
-     * and walkIntervals returns false; walking to the End marker
-     * (which is then required, as is the absence of trailing bytes)
-     * returns true. Throws LogStoreError on corruption.
+     * Decode intervals in file order, one chunk at a time, invoking
+     * @p fn with the producing core, the reconstructed interval (cycle
+     * is not persisted and reads back 0) and the source chunk. Mapped
+     * pages the walk has passed are released, so resident memory stays
+     * about one chunk, not the file. @p fn returning false stops the
+     * walk immediately — no further chunk is read or validated — and
+     * walkIntervals returns false; walking to the End marker (which is
+     * then required, as is the absence of trailing bytes) returns true.
+     * Throws LogStoreError on corruption.
      */
     bool walkIntervals(
         const std::function<bool(sim::CoreId, const IntervalRecord &,
                                  const ChunkView &)> &fn);
 
-    /**
-     * Decode every interval in file order, invoking @p fn with the
-     * producing core, the reconstructed interval (cycle is not
-     * persisted and reads back 0), the chunk it came from and that
-     * chunk's file offset. Throws LogStoreError on corruption.
-     */
-    void forEachInterval(
-        const std::function<void(sim::CoreId, const IntervalRecord &,
-                                 std::uint64_t chunk_seq,
-                                 std::uint64_t chunk_offset)> &fn);
-
-    /** Reconstruct all per-core logs; requires a clean End chunk. */
+    /** Reconstruct all per-core logs: readAllParallel(1). */
     std::vector<CoreLog> readAll();
 
     /**
-     * readAll(), but with chunk payloads CRC-checked and decoded
-     * concurrently on up to @p workers sim::TaskPool threads (0 = all
-     * host cores) — sound because the delta codec resets at every
-     * chunk boundary, so chunks decode independently. A single
-     * sequential pass validates the framing (headers, sequence
-     * continuity, End marker) and decodes the Summary; the bulky
-     * per-chunk varint work fans out behind it, staging intervals
-     * through per-worker bump arenas. The result — including which
-     * LogStoreError is thrown for a damaged file — is identical to
-     * readAll(): when several chunks are bad, the error of the
+     * Reconstruct all per-core logs; requires a clean End chunk. One
+     * sequential framing scan validates headers, sequence continuity,
+     * the Summary and the End marker; the data chunks it collects are
+     * then CRC-checked and decoded on up to @p workers sim::TaskPool
+     * threads (0 = all host cores; 1 = inline, no pool) — sound
+     * because the delta codec resets at every chunk boundary, so
+     * chunks decode independently. The result, including which
+     * LogStoreError is thrown for a damaged file, does not depend on
+     * @p workers: when several chunks are bad, the error of the
      * earliest file offset wins, exactly as a sequential walk would
-     * have reported it.
+     * report it.
      */
     std::vector<CoreLog> readAllParallel(std::uint32_t workers = 0);
 
     /**
-     * The recording summary; throws LogStoreError when the file has
-     * none (truncated before finish()).
+     * The recording summary, found by hopping chunk headers (no data
+     * chunk is decoded; a corrupt one is reported by the readAll*
+     * call that follows). Throws LogStoreError when the file has no
+     * End marker or no summary (truncated before finish()).
      */
     RecordingSummary summary();
 
@@ -510,39 +482,73 @@ class LogReader
     {
         fmt::ChunkHeader header;
         std::uint64_t offset = 0; ///< file offset of the chunk header
-        /** Payload view: into the mapping (mmap mode, zero-copy) or
-         *  into `owned` (streamed mode). Valid while the reader and
-         *  this Chunk live; moving the Chunk keeps it valid. */
+        /** Payload view into the reader's byte span. */
         std::span<const std::uint8_t> payload;
-        std::vector<std::uint8_t> owned;
+
+        /** File offset just past this chunk's payload. */
+        std::uint64_t
+        end() const
+        {
+            return offset + fmt::kChunkHeaderBytes + header.payloadBytes();
+        }
     };
 
-    /** Map the file or open the stream, per the requested mode. */
-    void setupIngest(IngestMode mode);
-    /** Read @p n raw bytes at @p offset (header parsing). */
-    void readBytesAt(std::uint64_t offset, std::uint8_t *dest,
-                     std::size_t n);
+    /** What the framing scan saw (see scanChunks). */
+    struct Framing
+    {
+        bool cleanEnd = false;  ///< End marker reached
+        std::uint64_t end = 0;  ///< offset just past the last chunk read
+        std::uint64_t chunks = 0; ///< chunks after the meta chunk
+    };
+
+    /** Map path_, or read it to EOF when it cannot be mapped. */
+    void load();
 
     /**
-     * Read the chunk at @p offset. @p verify_payload_crc false lets
-     * verify() keep walking past a corrupt payload.
+     * Frame the chunk at @p offset (header CRC, bounds); the payload
+     * CRC is left to the caller (checkPayloadCrc).
      * @return false at a clean end-of-file boundary.
      */
-    bool readChunkAt(std::uint64_t offset, Chunk &out,
-                     bool verify_payload_crc = true);
+    bool readChunkAt(std::uint64_t offset, Chunk &out) const;
 
+    /** Throw the "chunk payload CRC mismatch" error if it fails. */
+    void checkPayloadCrc(const Chunk &chunk) const;
+
+    /**
+     * The one header-hop scan behind walkIntervals, readAllParallel,
+     * summary and info: walks the chunks after the meta chunk, checks
+     * sequence continuity, rejects a duplicate meta chunk, CRC-checks
+     * and decodes the Summary, stops at the End marker and rejects
+     * trailing bytes after it. Each data chunk goes to @p on_data with
+     * its payload CRC unchecked; on_data returning false stops the
+     * scan. Throws LogStoreError on the first framing failure; a file
+     * that simply ends without an End marker is reported through
+     * Framing::cleanEnd (see requireEnd).
+     */
+    Framing scanChunks(const std::function<bool(const Chunk &)> &on_data);
+
+    /** Throw the "no end-of-log marker" error unless @p f is clean. */
+    static void requireEnd(const Framing &f);
+
+    /** Decode one data chunk (payload CRC already checked); @p fn may
+     *  move from the interval and returns false to stop early. */
     void decodeDataChunk(
         const Chunk &chunk,
-        const std::function<bool(sim::CoreId, const IntervalRecord &)>
-            &fn);
+        const std::function<bool(sim::CoreId, IntervalRecord &)> &fn)
+        const;
+
+    /** munmap()s the mapping, also when the constructor throws. */
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(const std::uint8_t *p) const;
+    };
 
     std::string path_;
-    std::ifstream in_;       ///< streamed mode only
-    int fd_ = -1;            ///< mmap mode only
-    const std::uint8_t *map_ = nullptr;
-    std::size_t mapBytes_ = 0;
-    IngestMode mode_ = IngestMode::Streamed;
-    std::uint64_t fileBytes_ = 0;
+    /** The mapping; null when the file was read to a buffer. */
+    std::unique_ptr<const std::uint8_t, Unmap> map_;
+    std::vector<std::uint8_t> owned_;   ///< the read-to-EOF buffer
+    std::span<const std::uint8_t> bytes_; ///< the whole file
     std::uint16_t version_ = 0;
     std::uint16_t flags_ = 0;
     std::uint64_t fingerprint_ = 0;

@@ -185,7 +185,7 @@ JobOutcome
 runReplayFile(const JobParams &p, const CancelToken &token)
 {
     JobOutcome out;
-    rnr::LogReader reader(p.file, p.ingest);
+    rnr::LogReader reader(p.file);
     const rnr::RecordingMeta &meta = reader.meta();
 
     // The file's protocol tag decides the replay machine; an explicit
@@ -372,7 +372,7 @@ JobOutcome
 runVerify(const JobParams &p, const CancelToken &token)
 {
     JobOutcome out;
-    rnr::LogReader reader(p.file, p.ingest);
+    rnr::LogReader reader(p.file);
     checkCancelled(token);
     const std::vector<rnr::VerifyIssue> issues = reader.verify();
     checkCancelled(token);
@@ -394,7 +394,7 @@ JobOutcome
 runStats(const JobParams &p, const CancelToken &token)
 {
     JobOutcome out;
-    rnr::LogReader reader(p.file, p.ingest);
+    rnr::LogReader reader(p.file);
     rnr::LogStats sum;
     std::uint64_t walked = 0;
     reader.walkIntervals([&](sim::CoreId,

@@ -3,8 +3,8 @@
  * Job execution for the replay service: runs one record / replay /
  * verify / stats job described by a JobParams through the exact code
  * paths the one-shot CLI uses — recording via machine::Machine with an
- * optional streaming rnr::LogWriter, replay via mmap ingest
- * (rnr::LogReader, IngestMode::Auto), readAllParallel decode and the
+ * optional streaming rnr::LogWriter, replay via rnr::LogReader (one
+ * byte span over the mapped file), readAllParallel decode and the
  * rnr::ParallelReplayer engine — and packages the outcome as a JSON
  * result object. Determinism verification is identical to
  * `rrsim replay FILE`: memory fingerprint, total instructions, and

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "rnr/logstore.hh"
 #include "sim/config.hh"
 
 namespace rr::svc
@@ -184,7 +183,6 @@ struct JobParams
     // replay/verify/stats: the input container.
     std::string file;
     std::uint32_t jobs = 1; ///< replay worker threads; 0 = all cores
-    rnr::IngestMode ingest = rnr::IngestMode::Auto;
     bool allowPartial = false;
 };
 

@@ -12,15 +12,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <pthread.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "rnr/logstore.hh"
 #include "sim/rng.hh"
@@ -923,7 +931,7 @@ TEST(LogStorePartial, BudgetFlushesAConsistentPrefixAndFlagsPartial)
     std::remove(path.c_str());
 }
 
-// --- zero-copy (mmap) ingest and parallel decode ---
+// --- the byte-span read path and parallel decode ---
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define RR_TEST_UNDER_SANITIZER 1
@@ -938,29 +946,134 @@ TEST(LogStorePartial, BudgetFlushesAConsistentPrefixAndFlagsPartial)
 
 TEST(LogStoreIngest, MmapMatchesStreamed)
 {
+    // The one read path, both decode entry points: readAll and
+    // readAllParallel over the mapped file agree with what was written.
     const std::string path = tempPath("mmap_match");
     const auto logs = writeSample(path, 3, /*deps=*/true);
 
-    LogReader streamed(path, IngestMode::Streamed);
-    EXPECT_EQ(streamed.ingestMode(), IngestMode::Streamed);
-    LogReader mapped(path, IngestMode::Mmap);
-    EXPECT_EQ(mapped.ingestMode(), IngestMode::Mmap);
-    EXPECT_EQ(streamed.fileBytes(), mapped.fileBytes());
+    LogReader reader(path);
+    EXPECT_EQ(reader.fileBytes(), slurp(path).size());
+    expectLogsEq(reader.readAll(), logs);
+    for (const std::uint32_t workers : {1u, 2u, 8u})
+        expectLogsEq(reader.readAllParallel(workers), logs);
+    EXPECT_TRUE(reader.verify().empty());
+    std::remove(path.c_str());
+}
 
-    expectLogsEq(streamed.readAll(), logs);
-    expectLogsEq(mapped.readAll(), logs);
-    EXPECT_TRUE(LogReader(path, IngestMode::Mmap).verify().empty());
+TEST(LogStoreIngest, FifoReadsToEof)
+{
+    // A FIFO cannot be mapped: the reader reads the descriptor it
+    // opened to EOF and serves every entry point from that buffer.
+    const std::string path = tempPath("fifo_src");
+    const auto logs = writeSample(path, 3, /*deps=*/true);
+    const auto bytes = slurp(path);
+    const std::string fifo = tempPath("fifo");
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
 
-    // Auto prefers the zero-copy path on a regular file.
-    EXPECT_EQ(LogReader(path).ingestMode(), IngestMode::Mmap);
+    // jthread: a throwing reader must fail this test, not terminate().
+    std::jthread writer([&] {
+        std::ofstream out(fifo, std::ios::binary); // blocks for a reader
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    });
+    LogReader reader(fifo);
+    writer.join();
+    EXPECT_EQ(reader.fileBytes(), bytes.size());
+    expectLogsEq(reader.readAll(), logs);
+    expectLogsEq(reader.readAllParallel(2), logs);
+    EXPECT_TRUE(reader.info().cleanEnd);
+    EXPECT_TRUE(reader.verify().empty());
+    std::remove(fifo.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(LogStoreIngest, EndlessDeviceIsRejectedBeforeReading)
+{
+    // A service opens client-supplied paths: a device that never
+    // reaches EOF must fail at once, not be buffered until OOM.
+    try {
+        LogReader reader("/dev/zero");
+        FAIL() << "/dev/zero was accepted";
+    } catch (const LogStoreError &e) {
+        EXPECT_EQ(e.kind(), LogErrorKind::Io);
+        EXPECT_NE(std::string(e.what()).find("not a regular file"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(LogStoreIngest, EndlessFifoOfGarbageStopsAtTheHeader)
+{
+    // A stream that is not a log is refused once its header has
+    // arrived; the writer sees the reader hang up long before its limit.
+    const std::string fifo = tempPath("fifo_garbage");
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+    constexpr std::size_t kLimit = 32u << 20;
+    std::size_t written = 0;
+    std::jthread writer([&] {
+        // EPIPE instead of a process-wide SIGPIPE once the reader is gone.
+        sigset_t pipe;
+        sigemptyset(&pipe);
+        sigaddset(&pipe, SIGPIPE);
+        pthread_sigmask(SIG_BLOCK, &pipe, nullptr);
+        const int fd = ::open(fifo.c_str(), O_WRONLY); // blocks for a reader
+        if (fd < 0)
+            return;
+        const std::vector<char> zeros(1 << 16, 0);
+        while (written < kLimit) {
+            const ssize_t n = ::write(fd, zeros.data(), zeros.size());
+            if (n <= 0)
+                break;
+            written += static_cast<std::size_t>(n);
+        }
+        ::close(fd);
+    });
+    try {
+        LogReader reader(fifo);
+        ADD_FAILURE() << "a FIFO of zeros was accepted";
+    } catch (const LogStoreError &e) {
+        EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.fileOffset(), 0u);
+    }
+    writer.join();
+    EXPECT_LT(written, kLimit / 8);
+    std::remove(fifo.c_str());
+}
+
+TEST(LogStoreIngest, RejectedFileReleasesItsMapping)
+{
+    // A file the constructor rejects after mapping it (here: a
+    // fingerprint mismatch found in the meta chunk) must not leave the
+    // mapping behind — a service opens untrusted paths all day.
+    const std::string path = tempPath("reject_unmap");
+    writeSample(path);
+    auto bytes = slurp(path);
+    bytes[8] ^= 0xff; // fingerprint field
+    fixFileHeaderCrc(bytes);
+    spew(path, bytes);
+
+    auto mappings = [] {
+        std::ifstream maps("/proc/self/maps");
+        std::size_t n = 0;
+        for (std::string line; std::getline(maps, line);)
+            ++n;
+        return n;
+    };
+    const std::size_t before = mappings();
+    for (int i = 0; i < 200; ++i)
+        EXPECT_THROW(LogReader reader(path), LogStoreError);
+    EXPECT_LT(mappings(), before + 50);
     std::remove(path.c_str());
 }
 
 TEST(LogStoreIngest, ParallelDecodeMatchesSequential)
 {
     // Sweep worker counts x chunk sizes (many tiny chunks stress the
-    // per-chunk arena staging; one big chunk stresses the serial
-    // fallback) under both ingest modes.
+    // per-chunk fan-out; one big chunk stresses the serial fallback).
     const auto logs = makeFullLogs(4, 50);
     for (const std::size_t chunk_bytes : {std::size_t{16},
                                           std::size_t{256},
@@ -968,21 +1081,16 @@ TEST(LogStoreIngest, ParallelDecodeMatchesSequential)
         const std::string path =
             tempPath("par_" + std::to_string(chunk_bytes));
         writeWithChunkTarget(path, logs, chunk_bytes);
-        const auto want = LogReader(path, IngestMode::Streamed).readAll();
+        const auto want = LogReader(path).readAll();
         expectLogsEq(want, logs);
-        for (const std::uint32_t workers : {1u, 2u, 8u}) {
-            for (const IngestMode mode :
-                 {IngestMode::Streamed, IngestMode::Mmap}) {
-                LogReader reader(path, mode);
-                expectLogsEq(reader.readAllParallel(workers), want);
-            }
-        }
+        for (const std::uint32_t workers : {1u, 2u, 8u})
+            expectLogsEq(LogReader(path).readAllParallel(workers), want);
         std::remove(path.c_str());
     }
 }
 
 /** One decode attempt, with any LogStoreError captured for parity
- *  comparison across ingest modes and decode strategies. */
+ *  comparison across decode strategies. */
 struct DecodeOutcome
 {
     bool threw = false;
@@ -993,15 +1101,14 @@ struct DecodeOutcome
     std::uint64_t intervals = 0;
 };
 
+/** readAllParallel(@p workers); readAll() is readAllParallel(1). */
 DecodeOutcome
-decodeOutcome(const std::string &path, IngestMode mode, bool parallel,
-              std::uint32_t workers = 4)
+decodeOutcome(const std::string &path, std::uint32_t workers)
 {
     DecodeOutcome o;
     try {
-        LogReader reader(path, mode);
-        const auto logs =
-            parallel ? reader.readAllParallel(workers) : reader.readAll();
+        LogReader reader(path);
+        const auto logs = reader.readAllParallel(workers);
         for (const auto &log : logs)
             o.intervals += log.intervals.size();
     } catch (const LogStoreError &e) {
@@ -1016,11 +1123,10 @@ decodeOutcome(const std::string &path, IngestMode mode, bool parallel,
 
 TEST(LogStoreIngest, CorruptionMatrixIngestParity)
 {
-    // Every corruption class x {streamed, mmap} x {sequential,
-    // parallel}: all four readers must agree on the exact outcome —
-    // same error message, file offset, chunk seq and kind (or the same
-    // successful decode). This pins the parallel mmap path to the
-    // sequential streamed path's error behavior.
+    // Every corruption class x {readAll, readAllParallel(1, 2, 8)}: all
+    // readers must agree on the exact outcome — same error message,
+    // file offset, chunk seq and kind (or the same successful decode).
+    // info() and verify() must name the same offset too.
     const auto logs = makeFullLogs(3, 20);
     const std::string path = tempPath("parity");
     writeWithChunkTarget(path, logs, 64);
@@ -1094,6 +1200,25 @@ TEST(LogStoreIngest, CorruptionMatrixIngestParity)
                  findChunk(b, fmt::ChunkType::Summary);
              b[off + fmt::kChunkHeaderBytes] ^= 0x04;
          }},
+        {"sequence_break",
+         [](std::vector<std::uint8_t> &b) {
+             // Swap the sequence numbers of the first two data chunks
+             // and re-seal both header CRCs: every chunk is intact on
+             // its own, only the order is wrong.
+             fmt::ChunkHeader first, second;
+             const std::uint64_t a =
+                 findChunk(b, fmt::ChunkType::Data, &first);
+             const std::uint64_t next =
+                 a + fmt::kChunkHeaderBytes + first.payloadBytes();
+             ASSERT_TRUE(
+                 fmt::ChunkHeader::decode(b.data() + next, second));
+             ASSERT_EQ(second.type, fmt::ChunkType::Data);
+             std::swap(first.seq, second.seq);
+             const auto ea = first.encode();
+             const auto eb = second.encode();
+             std::copy(ea.begin(), ea.end(), b.begin() + a);
+             std::copy(eb.begin(), eb.end(), b.begin() + next);
+         }},
     };
 
     for (const Case &c : cases) {
@@ -1101,22 +1226,36 @@ TEST(LogStoreIngest, CorruptionMatrixIngestParity)
         c.corrupt(bytes);
         spew(path, bytes);
 
-        const DecodeOutcome want =
-            decodeOutcome(path, IngestMode::Streamed, false);
-        for (const bool parallel : {false, true}) {
-            for (const IngestMode mode :
-                 {IngestMode::Streamed, IngestMode::Mmap}) {
-                if (!parallel && mode == IngestMode::Streamed)
-                    continue; // that's `want` itself
-                const DecodeOutcome got =
-                    decodeOutcome(path, mode, parallel);
-                EXPECT_EQ(got.threw, want.threw) << c.name;
-                EXPECT_EQ(got.message, want.message) << c.name;
-                EXPECT_EQ(got.offset, want.offset) << c.name;
-                EXPECT_EQ(got.seq, want.seq) << c.name;
-                EXPECT_EQ(got.kind, want.kind) << c.name;
-                EXPECT_EQ(got.intervals, want.intervals) << c.name;
+        const DecodeOutcome want = decodeOutcome(path, 1);
+        for (const std::uint32_t workers : {2u, 8u}) {
+            const DecodeOutcome got = decodeOutcome(path, workers);
+            EXPECT_EQ(got.threw, want.threw) << c.name;
+            EXPECT_EQ(got.message, want.message) << c.name;
+            EXPECT_EQ(got.offset, want.offset) << c.name;
+            EXPECT_EQ(got.seq, want.seq) << c.name;
+            EXPECT_EQ(got.kind, want.kind) << c.name;
+            EXPECT_EQ(got.intervals, want.intervals) << c.name;
+        }
+
+        // info() runs the same scan and per-chunk checks: it fails
+        // exactly like readAll, except that a file ending on a chunk
+        // boundary without its End marker is reported, not thrown.
+        try {
+            const LogFileInfo info = LogReader(path).info();
+            EXPECT_EQ(info.cleanEnd, !want.threw) << c.name;
+            if (!want.threw) {
+                EXPECT_EQ(info.intervals, want.intervals) << c.name;
             }
+        } catch (const LogStoreError &e) {
+            EXPECT_EQ(e.what(), want.message) << c.name;
+            EXPECT_EQ(e.fileOffset(), want.offset) << c.name;
+        }
+        // verify() collects instead of throwing; its first problem is
+        // the one the throwing readers stop at.
+        const auto issues = LogReader(path).verify();
+        ASSERT_EQ(issues.empty(), !want.threw) << c.name;
+        if (want.threw) {
+            EXPECT_EQ(issues.front().fileOffset, want.offset) << c.name;
         }
     }
     std::remove(path.c_str());
@@ -1161,8 +1300,8 @@ TEST(LogStoreIngest, StreamingWalkKeepsRssBounded)
 
     // A file holding several MiB of intervals, walked with the
     // streaming API (the rrlog stats/dump path): peak RSS must grow by
-    // far less than the file size, because only one chunk is ever
-    // resident.
+    // far less than the file size, because the walk releases the
+    // mapped pages it has passed.
     const std::string path = tempPath("rss");
     rr::sim::Rng rng(23);
     {
@@ -1181,13 +1320,15 @@ TEST(LogStoreIngest, StreamingWalkKeepsRssBounded)
         s.cores.push_back(CoreReplaySummary{400'000, 0, 0, 0});
         writer.finish(s);
     }
-    const std::uint64_t file_bytes = slurp(path).size();
+    // The reader only maps the file and validates the header here; the
+    // size comes from it so nothing has read the file before `before`.
+    LogReader reader(path);
+    const std::uint64_t file_bytes = reader.fileBytes();
     ASSERT_GT(file_bytes, 4u << 20);
 
     struct rusage before;
     ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
     std::uint64_t seen = 0;
-    LogReader reader(path, IngestMode::Streamed);
     reader.walkIntervals([&seen](rr::sim::CoreId,
                                  const IntervalRecord &,
                                  const LogReader::ChunkView &) {
@@ -1199,7 +1340,7 @@ TEST(LogStoreIngest, StreamingWalkKeepsRssBounded)
     EXPECT_EQ(seen, 400'000u);
 
     // ru_maxrss is KiB on Linux. Allow generous slack (allocator
-    // overhead, the slurp above) — the point is "not O(file size)".
+    // overhead, readahead) — the point is "not O(file size)".
     const long grown_kib = after.ru_maxrss - before.ru_maxrss;
     EXPECT_LT(grown_kib, static_cast<long>(file_bytes >> 11))
         << "walk grew RSS by " << grown_kib << " KiB over a "

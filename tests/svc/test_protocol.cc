@@ -130,6 +130,14 @@ TEST(ProtocolRequest, SubmitRecordRoundTrip)
     EXPECT_EQ(r->weight, 7u);
     EXPECT_EQ(r->tag, "t1");
     EXPECT_DOUBLE_EQ(r->timeoutSec, 2.5);
+
+    // The retired "ingest" key is ignored like any unknown key, so old
+    // clients that still send it keep working.
+    EXPECT_TRUE(parseRequest(
+                    R"({"op":"replay","file":"a.rrlog","ingest":"stream"})",
+                    error)
+                    .has_value())
+        << error;
 }
 
 TEST(ProtocolRequest, ControlOps)
@@ -168,7 +176,6 @@ TEST(ProtocolRequest, SemanticRejections)
         R"({"op":"replay","file":"a.rrlog","jobs":4294967296})",
         R"({"op":"replay","file":"a.rrlog","jobs":999})",
         R"({"op":"record","kernel":"fft","mode":"weird"})",
-        R"({"op":"record","kernel":"fft","ingest":"weird"})",
         R"({"op":"nope"})",                        // unknown op
         R"({})",                                   // missing op
         R"({"op":"ping","tenant":""})",            // empty tenant
@@ -253,7 +260,7 @@ TEST(ProtocolFuzz, MutatedValidRequestsNeverCrash)
     const std::string seedReq =
         R"({"op":"replay","file":"a.rrlog","cores":8,"jobs":2,)"
         R"("tenant":"bob","weight":3,"tag":"x","timeout":1.5,)"
-        R"("ingest":"mmap","allowPartial":true})";
+        R"("allowPartial":true})";
     std::mt19937 rng(42);
     for (int i = 0; i < 20000; ++i) {
         std::string text = seedReq;

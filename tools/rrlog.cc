@@ -54,10 +54,9 @@ usage()
         "  --core N         dump: restrict to one core\n"
         "  --max N          dump: intervals per core (default 8)\n"
         "  --stats-json F   stats: export the StatSets as JSON\n"
-        "  --ingest MODE    read path: auto (default; mmap with "
-        "streamed fallback),\n"
-        "                   mmap (zero-copy, required) or stream\n"
         "repair salvages FILE's consistent prefix into FILE2.\n"
+        "FILE is mapped; a pipe, FIFO or /dev/stdin is read once to "
+        "EOF.\n"
         "exit codes: 0 ok, 1 corrupt/differs, 2 usage, 3 I/O error.\n");
     std::exit(2);
 }
@@ -69,7 +68,6 @@ struct Options
     std::uint32_t core = UINT32_MAX;
     std::uint64_t max = 8;
     std::string statsJson;
-    rnr::IngestMode ingest = rnr::IngestMode::Auto;
 };
 
 Options
@@ -101,17 +99,7 @@ parse(int argc, char **argv)
             o.max = std::strtoull(next().c_str(), nullptr, 10);
         else if (arg == "--stats-json")
             o.statsJson = next();
-        else if (arg == "--ingest") {
-            const std::string m = next();
-            if (m == "auto")
-                o.ingest = rnr::IngestMode::Auto;
-            else if (m == "mmap")
-                o.ingest = rnr::IngestMode::Mmap;
-            else if (m == "stream")
-                o.ingest = rnr::IngestMode::Streamed;
-            else
-                usage();
-        } else if (arg.rfind("--", 0) == 0)
+        else if (arg.rfind("--", 0) == 0)
             usage();
         else if (o.command.empty())
             o.command = arg;
@@ -186,7 +174,7 @@ printMeta(const rnr::LogReader &reader)
 int
 cmdInfo(const Options &o)
 {
-    rnr::LogReader reader(o.files[0], o.ingest);
+    rnr::LogReader reader(o.files[0]);
     printMeta(reader);
     const rnr::LogFileInfo info = reader.info();
     std::printf("file            %llu bytes, %llu chunks "
@@ -224,7 +212,7 @@ cmdInfo(const Options &o)
 int
 cmdStats(const Options &o)
 {
-    rnr::LogReader reader(o.files[0], o.ingest);
+    rnr::LogReader reader(o.files[0]);
     std::vector<rnr::LogStats> per_core(reader.coreCount());
     std::vector<sim::StatSet> core_sets;
     for (std::uint32_t c = 0; c < reader.coreCount(); ++c)
@@ -316,7 +304,7 @@ cmdStats(const Options &o)
 int
 cmdDump(const Options &o)
 {
-    rnr::LogReader reader(o.files[0], o.ingest);
+    rnr::LogReader reader(o.files[0]);
     printMeta(reader);
     std::vector<std::uint64_t> shown(reader.coreCount(), 0);
     // Early stop: once every requested core is past --max, nothing
@@ -365,7 +353,7 @@ cmdDump(const Options &o)
 int
 cmdVerify(const Options &o)
 {
-    rnr::LogReader reader(o.files[0], o.ingest);
+    rnr::LogReader reader(o.files[0]);
     const std::vector<rnr::VerifyIssue> issues = reader.verify();
     if (issues.empty()) {
         std::printf("%s: OK (fingerprint %016llx, %u cores)\n",
@@ -401,10 +389,10 @@ exitCodeFor(const rnr::LogStoreError &e)
 }
 
 rnr::LogReader
-open(const std::string &path, rnr::IngestMode mode)
+open(const std::string &path)
 {
     try {
-        return rnr::LogReader(path, mode);
+        return rnr::LogReader(path);
     } catch (const rnr::LogStoreError &e) {
         std::fprintf(stderr, "rrlog: %s: %s\n", path.c_str(), e.what());
         std::exit(exitCodeFor(e));
@@ -416,7 +404,7 @@ cmdRepair(const Options &o)
 {
     const std::string &src = o.files[0];
     const std::string &dst = o.files[1];
-    rnr::LogReader reader(src, o.ingest);
+    rnr::LogReader reader(src);
     rnr::RecoveryResult rec = reader.recoverPrefix();
     for (const auto &issue : rec.issues)
         std::fprintf(stderr, "%s: offset %llu: %s\n", src.c_str(),
@@ -455,8 +443,8 @@ cmdRepair(const Options &o)
 int
 cmdDiff(const Options &o)
 {
-    rnr::LogReader a(open(o.files[0], o.ingest));
-    rnr::LogReader b(open(o.files[1], o.ingest));
+    rnr::LogReader a(open(o.files[0]));
+    rnr::LogReader b(open(o.files[1]));
     if (a.fingerprint() != b.fingerprint()) {
         std::printf("metadata differs: fingerprints %016llx vs %016llx "
                     "(%s/%u cores vs %s/%u cores)\n",

@@ -97,7 +97,6 @@ struct Options
     std::string faults;          // --faults fault-plan spec
     std::uint64_t chunkBytes = 0; // --chunk-bytes; 0 = format default
     bool allowPartial = false;   // replay: accept partial/torn files
-    rnr::IngestMode ingest = rnr::IngestMode::Auto; // --ingest
 
     // serve / submit (the replay service; see docs/SERVICE.md)
     std::string socketPath;      // --socket; default $RRSIM_SOCKET
@@ -155,10 +154,6 @@ usage()
         "prefix of a\n"
         "                   partial or torn .rrlog instead of refusing "
         "it\n"
-        "  --ingest MODE    .rrlog read path: auto (default; mmap with "
-        "streamed\n"
-        "                   fallback), mmap (zero-copy, required), or "
-        "stream\n"
         "service (rrsim serve / rrsim submit; see docs/SERVICE.md):\n"
         "  --socket PATH    Unix socket (default $RRSIM_SOCKET or "
         "/tmp/rrsim.sock)\n"
@@ -296,16 +291,6 @@ parse(int argc, char **argv)
             o.noWait = true;
         } else if (arg == "--no-drain") {
             o.noDrain = true;
-        } else if (arg == "--ingest") {
-            const std::string m = next();
-            if (m == "auto")
-                o.ingest = rnr::IngestMode::Auto;
-            else if (m == "mmap")
-                o.ingest = rnr::IngestMode::Mmap;
-            else if (m == "stream")
-                o.ingest = rnr::IngestMode::Streamed;
-            else
-                usage();
         } else {
             usage();
         }
@@ -542,7 +527,7 @@ cmdRecord(const Options &o)
 int
 cmdReplayFile(const Options &o)
 {
-    rnr::LogReader reader(o.kernel, o.ingest);
+    rnr::LogReader reader(o.kernel);
     const rnr::RecordingMeta &meta = reader.meta();
 
     // Full verification (against the recorded summary) only makes sense
@@ -740,8 +725,10 @@ looksLikeLogFile(const std::string &name)
         name.compare(name.size() - suffix.size(), suffix.size(),
                      suffix) == 0)
         return true;
-    std::ifstream probe(name, std::ios::binary);
-    return probe.good();
+    // access(), not a probe open: opening a FIFO to test it and
+    // closing it again would make its writer die of SIGPIPE before
+    // LogReader opens it for real.
+    return ::access(name.c_str(), R_OK) == 0;
 }
 
 /**
@@ -1151,11 +1138,6 @@ buildRequest(const Options &o)
             j += ",\"out\":" + svc::jsonQuote(o.outFile);
         if (o.jobs)
             j += ",\"jobs\":" + std::to_string(o.jobs);
-        if (o.ingest != rnr::IngestMode::Auto)
-            j += std::string(",\"ingest\":\"") +
-                 (o.ingest == rnr::IngestMode::Mmap ? "mmap"
-                                                    : "stream") +
-                 "\"";
         if (o.allowPartial)
             j += ",\"allowPartial\":true";
     } else if (o.submitOp == "cancel") {
