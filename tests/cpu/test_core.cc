@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "isa/assembler.hh"
@@ -388,6 +392,179 @@ TEST(Core, HaltWithFullPipelineDrainsWriteBuffer)
     h.run();
     for (int i = 0; i < 12; ++i)
         EXPECT_EQ(h.backing.read64(0x10000 + i * 8), std::uint64_t(i + 1));
+}
+
+
+// ---------------------------------------------------------------------
+// Issue-scheduler edge cases. Each program stresses one way an
+// instruction can wait in the ROB; the retire trace (seq, cycle) and
+// the final registers are pinned, so a scheduler that picks a
+// different instruction on any cycle shows up as a changed trace.
+// ---------------------------------------------------------------------
+
+using RetireTrace = std::vector<std::pair<sim::SeqNum, sim::Cycle>>;
+
+RetireTrace
+retireTrace(const CoreHarness &h)
+{
+    RetireTrace t;
+    for (const auto &ri : h.retires)
+        t.emplace_back(ri.seq, ri.cycle);
+    return t;
+}
+
+std::string
+traceText(const RetireTrace &t)
+{
+    std::ostringstream os;
+    os << "{";
+    for (std::size_t i = 0; i < t.size(); ++i)
+        os << (i ? ", " : "") << "{" << t[i].first << ", " << t[i].second
+           << "}";
+    os << "}";
+    return os.str();
+}
+
+void
+expectTrace(const CoreHarness &h, const RetireTrace &want)
+{
+    const RetireTrace got = retireTrace(h);
+    EXPECT_EQ(got, want) << "observed trace: " << traceText(got);
+}
+
+TEST(CoreScheduler, DependentChainBehindMissingLoad)
+{
+    Assembler a;
+    a.data(0x10000, 5);
+    a.li(3, 0x10000);
+    a.ld(4, 3, 0); // cold miss
+    a.addi(5, 4, 1);
+    a.add(6, 5, 4);
+    a.mul(7, 6, 5);
+    a.xor_(8, 7, 6);
+    a.addi(9, 8, 3);
+    a.halt();
+    CoreHarness h(a.assemble());
+    h.run();
+    expectTrace(h, {
+        {0, 2}, {1, 166}, {2, 167}, {3, 168}, {4, 171}, {5, 172}, {6, 173},
+        {7, 173}
+    });
+    EXPECT_EQ(h.core().archReg(9), 76u);
+}
+
+TEST(CoreScheduler, ConsumerIssuesMulLatencyAfterMul)
+{
+    // The mul waits on a load; the addi waits on the mul. When the load
+    // completes the mul issues, and the addi may issue only once the
+    // mul's extra latency has elapsed.
+    Assembler a;
+    a.data(0x10000, 6);
+    a.li(3, 0x10000);
+    a.ld(4, 3, 0);
+    a.mul(5, 4, 4);
+    a.addi(6, 5, 1);
+    a.add(7, 6, 5);
+    a.halt();
+    CoreHarness h(a.assemble());
+    h.run();
+    expectTrace(h, {
+        {0, 2}, {1, 166}, {2, 169}, {3, 170}, {4, 171}, {5, 171}
+    });
+    EXPECT_EQ(h.core().archReg(7), 73u);
+}
+
+TEST(CoreScheduler, SquashedProducerWithWaitingConsumers)
+{
+    // Each iteration loads a flag that alternates 0/1, so the branch
+    // keeps mispredicting. The wrong path holds a producer waiting on
+    // the same load and consumers waiting on that producer; the squash
+    // removes them all and the correct path reuses their ROB slots.
+    Assembler a;
+    for (int i = 0; i < 6; ++i)
+        a.data(0x10000 + i * 64, i % 2);
+    a.li(3, 0x10000);
+    a.li(10, 6); // iterations
+    a.li(11, 0); // accumulator
+    a.label("loop");
+    a.ld(4, 3, 0);
+    a.beq(4, 0, "zero");
+    a.mul(5, 4, 4);  // wrong path when the flag is 0
+    a.addi(6, 5, 1);
+    a.add(7, 6, 5);
+    a.add(11, 11, 7);
+    a.jmp("next");
+    a.label("zero");
+    a.addi(11, 11, 100);
+    a.label("next");
+    a.addi(3, 3, 64);
+    a.addi(10, 10, -1);
+    a.bne(10, 0, "loop");
+    a.halt();
+    CoreHarness h(a.assemble());
+    h.run();
+    expectTrace(h, {
+        {0, 2}, {1, 2}, {2, 2}, {3, 166}, {4, 167}, {71, 171}, {72, 171},
+        {73, 171}, {74, 172}, {75, 174}, {76, 175}, {91, 181}, {92, 182},
+        {93, 183}, {94, 184}, {95, 184}, {96, 184}, {97, 184}, {98, 185},
+        {99, 185}, {100, 185}, {111, 187}, {112, 187}, {113, 187}, {114, 188},
+        {115, 189}, {116, 190}, {127, 196}, {128, 197}, {129, 198},
+        {130, 199}, {131, 199}, {132, 199}, {133, 199}, {134, 200},
+        {135, 200}, {136, 200}, {147, 202}, {148, 202}, {149, 202},
+        {150, 203}, {151, 204}, {152, 205}, {163, 211}, {164, 212},
+        {165, 213}, {166, 214}, {167, 214}, {168, 214}, {169, 214},
+        {170, 215}, {175, 215}
+    });
+    EXPECT_GT(h.core().stats().counterValue("mispredicts"), 0u);
+    EXPECT_EQ(h.core().archReg(11), 309u);
+}
+
+TEST(CoreScheduler, ProducerRetiresWhileConsumerWaitsOnOtherOperand)
+{
+    // The add's second operand comes from an older mul that retires
+    // long before the add's first operand (a younger missing load)
+    // arrives: the add must then read the mul's value after the mul
+    // has left the ROB.
+    Assembler a;
+    a.data(0x10000, 11);
+    a.li(3, 0x10000);
+    a.li(8, 7);
+    a.mul(5, 8, 8);
+    a.ld(4, 3, 0);
+    a.add(6, 4, 5);
+    a.halt();
+    CoreHarness h(a.assemble());
+    h.run();
+    expectTrace(h, {
+        {0, 2}, {1, 2}, {2, 5}, {3, 166}, {4, 167}, {5, 167}
+    });
+    EXPECT_EQ(h.core().archReg(6), 60u);
+}
+
+TEST(CoreScheduler, StoreWithUnknownAddressBlocksYoungerLoads)
+{
+    // The store's address comes from a missing load; a younger load to
+    // an unrelated line must not issue until that address is known.
+    Assembler a;
+    a.data(0x10000, 0x30000);
+    a.data(0x40000, 9);
+    a.li(3, 0x10000);
+    a.li(10, 0x40000);
+    a.li(5, 1);
+    a.ld(4, 3, 0);
+    a.st(5, 4, 0);
+    a.ld(6, 10, 0);
+    a.halt();
+    CoreHarness h(a.assemble());
+    h.run();
+    expectTrace(h, {
+        {0, 2}, {1, 2}, {2, 2}, {3, 166}, {4, 167}, {5, 330}, {6, 330}
+    });
+    // The younger load issued only after the first miss returned.
+    EXPECT_GT(h.retires[5].cycle,
+              h.retires[3].cycle + h.cfg.uncore.memLatency);
+    EXPECT_EQ(h.core().archReg(6), 9u);
+    EXPECT_EQ(h.backing.read64(0x30000), 1u);
 }
 
 } // namespace
