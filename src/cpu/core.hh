@@ -18,6 +18,14 @@
  * The core publishes dispatch/retire/squash/forward events to
  * CoreListener instances (the MRR hub) and receives perform/completion
  * events from the MemorySystem.
+ *
+ * Issue is event-driven but selects exactly what a full oldest-first
+ * ROB scan would: the scan visits only the slots marked active, and an
+ * entry is inactive only while visiting it could change nothing —
+ * either it has nothing left to do, or it waits on a producer that has
+ * not executed yet ("parked" on that producer, which wakes it when it
+ * executes). Entries that block younger loads (a store with an unknown
+ * address, an incomplete atomic, a fence) are never parked.
  */
 
 #ifndef RR_CPU_CORE_HH
@@ -25,7 +33,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
@@ -73,14 +80,21 @@ class Core : public mem::MemClient
     sim::StatSet &stats() { return stats_; }
 
   private:
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
     struct RobEntry
     {
+        /** kNoSeqNum once the entry has retired or been squashed. */
         sim::SeqNum seq = sim::kNoSeqNum;
         std::uint64_t pc = 0;
         isa::Instruction inst;
         // Operand sourcing: kNoSeqNum producer means the value is final.
+        // A producer still in the ROB sits in srcNSlot; once that slot
+        // no longer holds srcNProd, the producer has retired.
         sim::SeqNum src1Prod = sim::kNoSeqNum;
         sim::SeqNum src2Prod = sim::kNoSeqNum;
+        std::uint32_t src1Slot = kNoSlot;
+        std::uint32_t src2Slot = kNoSlot;
         std::uint64_t src1Val = 0;
         std::uint64_t src2Val = 0;
         // Execution status.
@@ -100,6 +114,22 @@ class Core : public mem::MemClient
         // Snapshot of the non-memory-instruction counter after this
         // instruction dispatched; restored on squash at this entry.
         std::uint32_t nmiAfter = 0;
+        // Issue scheduling: the producer slot this entry is parked on,
+        // its links in that producer's waiter list, and the head of the
+        // list of entries parked on this one.
+        std::uint32_t parkedOn = kNoSlot;
+        std::uint32_t waitPrev = kNoSlot;
+        std::uint32_t waitNext = kNoSlot;
+        std::uint32_t waiters = kNoSlot;
+    };
+
+    /** A retired producer's value, kept while consumers may need it. */
+    struct RetiredResult
+    {
+        sim::SeqNum seq;
+        /** nextSeq_ at its retirement: younger seqs cannot consume it. */
+        sim::SeqNum barrier;
+        std::uint64_t value;
     };
 
     // --- pipeline phases, called in order from tick() ---
@@ -110,14 +140,50 @@ class Core : public mem::MemClient
 
     /** Try to resolve both operands of @p e; true when ready. */
     bool resolveOperands(RobEntry &e, sim::Cycle now);
-    bool resolveOne(sim::SeqNum &prod, std::uint64_t &val, sim::Cycle now);
+    bool resolveOne(sim::SeqNum &prod, std::uint32_t slot,
+                    std::uint64_t &val, sim::Cycle now);
+
+    // --- issue scheduling ---
+    /**
+     * Park the entry in @p slot on its producer (@p prod in @p prod_slot)
+     * when that producer is still in the ROB and has not executed.
+     * @return true if parked (the entry is then inactive).
+     */
+    bool parkOn(std::uint32_t slot, sim::SeqNum prod,
+                std::uint32_t prod_slot);
+    /** Reactivate every entry parked on @p slot (it just executed). */
+    void wakeWaiters(std::uint32_t slot);
+    /** Remove a parked entry from its producer's waiter list. */
+    void unpark(std::uint32_t slot);
+    void activate(std::uint32_t slot)
+    {
+        active_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    }
+    void deactivate(std::uint32_t slot)
+    {
+        active_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    }
+    /** First active slot in [from, end), or end. */
+    std::uint32_t nextActive(std::uint32_t from, std::uint32_t end) const;
+    /** Slot of the in-flight instruction @p seq, or kNoSlot. */
+    std::uint32_t slotOfSeq(sim::SeqNum seq) const;
 
     /**
-     * Try to satisfy a load from an older in-flight store (ROB slice
-     * older than @p slot, then the write buffer).
+     * Try to satisfy a load from an older in-flight store (ROB entries
+     * older than position @p pos, then the write buffer).
      * @return 0 no match (go to memory), 1 forwarded, 2 must wait.
      */
-    int tryForward(RobEntry &e, std::uint32_t slot, sim::Cycle now);
+    int tryForward(RobEntry &e, std::uint32_t pos, sim::Cycle now);
+
+    /** Issue-stage work for the entry in @p slot, @p pos from head. */
+    enum class Visit
+    {
+        Next,
+        Squashed, ///< a mispredict removed every younger entry
+    };
+    Visit visit(std::uint32_t slot, std::uint32_t pos, sim::Cycle now,
+                std::uint32_t &issued, std::uint32_t &mem_ports,
+                bool &block_loads);
 
     /** Squash every instruction younger than @p survivor_seq. */
     void squashAfter(sim::SeqNum survivor_seq, std::uint32_t nmi_restore);
@@ -144,17 +210,17 @@ class Core : public mem::MemClient
     std::vector<RobEntry> rob_;
     std::uint32_t head_ = 0; ///< index of oldest entry
     std::uint32_t count_ = 0;
-    std::unordered_map<sim::SeqNum, std::uint32_t> slotOfSeq_;
+    /** One bit per ROB slot: the issue stage must visit this entry. */
+    std::vector<std::uint64_t> active_;
 
     // Retired-but-still-referenced results (producers that left the ROB
-    // before their consumers issued).
-    std::unordered_map<sim::SeqNum, std::uint64_t> retiredResults_;
-    /** (producer seq, nextSeq_ at its retirement) for garbage collection. */
-    std::deque<std::pair<sim::SeqNum, sim::SeqNum>> retiredResultFifo_;
+    // before their consumers issued), in retirement (= seq) order.
+    std::deque<RetiredResult> retiredResults_;
 
     // Register state.
     std::uint64_t archRegs_[isa::kNumRegs] = {};
     sim::SeqNum regProducer_[isa::kNumRegs];
+    std::uint32_t regProducerSlot_[isa::kNumRegs];
 
     // Fetch state.
     std::uint64_t fetchPc_ = 0;
@@ -174,6 +240,23 @@ class Core : public mem::MemClient
 
     std::vector<CoreListener *> listeners_;
     sim::StatSet stats_;
+    // Hot-path statistics, resolved once (StatSet entries are stable).
+    sim::Counter &statBranches_;
+    sim::Counter &statDispatched_;
+    sim::Counter &statFetchOutOfRange_;
+    sim::Counter &statForwardedLoads_;
+    sim::Counter &statLoadsToMemory_;
+    sim::Counter &statLsqFullStalls_;
+    sim::Counter &statMispredicts_;
+    sim::Counter &statRobFullStalls_;
+    sim::Counter &statSquashedCompletions_;
+    sim::Counter &statSquashedInstructions_;
+    sim::Counter &statStoresToMemory_;
+    sim::Counter &statTraqFullStalls_;
+    sim::Counter &statWbDrainBlocked_;
+    sim::Counter &statWbFullStalls_;
+    sim::ScalarStat &statRobOccupancy_;
+    sim::ScalarStat &statWbOccupancy_;
 };
 
 } // namespace rr::cpu
