@@ -155,7 +155,7 @@ DirectoryMemorySystem::grant(const BusRequest &req)
         }
     }
     if (forwarded)
-        stats_.counter("c2c_transfers")++;
+        statC2cTransfers_++;
 
     // GetM invalidates every targeted L1 copy (listed sharers + owner;
     // everyone on a conservative broadcast).
@@ -263,10 +263,10 @@ DirectoryMemorySystem::installL2(sim::Addr line)
 {
     if (CacheArray::Line *hit = l2_.find(line)) {
         l2_.touch(*hit);
-        stats_.counter("l2_hits")++;
+        statL2Hits_++;
         return true;
     }
-    stats_.counter("l2_misses")++;
+    statL2Misses_++;
     const auto blocked = [this](sim::Addr victim) {
         return inflight_.count(victim) > 0 || lineHasAnyMshr(victim);
     };
@@ -274,7 +274,7 @@ DirectoryMemorySystem::installL2(sim::Addr line)
     RR_ASSERT(way, "L2 victim availability checked at grant");
     if (way->valid()) {
         const sim::Addr victim = way->tag;
-        stats_.counter("l2_evictions")++;
+        statL2Evictions_++;
         // Destroying the victim's directory entry destroys every listed
         // core's ability to observe future transactions on the line —
         // the Section 4.3 event. Bump them all conservatively, stale
@@ -300,7 +300,7 @@ DirectoryMemorySystem::installL2(sim::Addr line)
             CacheArray::Line *l1_line = l1s_[c].find(victim);
             if (!l1_line)
                 continue;
-            stats_.counter("back_invalidations")++;
+            statBackInvalidations_++;
             if (l1_line->state == MesiState::Modified)
                 busQueue_.push_back(
                     BusRequest{c, victim, BusKind::PutM, nullptr});

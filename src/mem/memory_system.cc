@@ -16,7 +16,18 @@ CacheMemorySystem::CacheMemorySystem(const sim::MachineConfig &cfg,
                                      StampClock &clock)
     : CoherenceProtocol(cfg, backing, clock),
       l2_(sim::CacheConfig{cfg.totalL2Bytes(), cfg.l2.associativity,
-                           cfg.l2.mshrEntries, cfg.l2.hitLatency})
+                           cfg.l2.mshrEntries, cfg.l2.hitLatency}),
+      statAccessesRead_(stats_.counter("accesses_read")),
+      statAccessesWrite_(stats_.counter("accesses_write")),
+      statBackInvalidations_(stats_.counter("back_invalidations")),
+      statC2cTransfers_(stats_.counter("c2c_transfers")),
+      statL1Evictions_(stats_.counter("l1_evictions")),
+      statL1Hits_(stats_.counter("l1_hits")),
+      statL1Misses_(stats_.counter("l1_misses")),
+      statL2Evictions_(stats_.counter("l2_evictions")),
+      statL2Hits_(stats_.counter("l2_hits")),
+      statL2Misses_(stats_.counter("l2_misses")),
+      statMshrMerges_(stats_.counter("mshr_merges"))
 {
     l1s_.reserve(cfg.numCores);
     for (std::uint32_t c = 0; c < cfg.numCores; ++c)
@@ -82,7 +93,7 @@ CacheMemorySystem::access(sim::CoreId core, AccessKind kind,
                           std::uint64_t tag)
 {
     RR_ASSERT(canAccept(core, word_addr), "access without canAccept");
-    stats_.counter(isWriteKind(kind) ? "accesses_write" : "accesses_read")++;
+    (isWriteKind(kind) ? statAccessesWrite_ : statAccessesRead_)++;
     accessInternal(core, {kind, sim::wordAddr(word_addr), store_value, tag});
 }
 
@@ -94,7 +105,7 @@ CacheMemorySystem::accessInternal(sim::CoreId core, const PendingAccess &acc)
     // Merge into a pending transaction on the same line, if any.
     if (Mshr *mshr = mshrFor(core, line)) {
         mshr->waiting.push_back(acc);
-        stats_.counter("mshr_merges")++;
+        statMshrMerges_++;
         return;
     }
 
@@ -111,11 +122,11 @@ CacheMemorySystem::accessInternal(sim::CoreId core, const PendingAccess &acc)
         l1.touch(*ln);
         const std::uint64_t v = serialize(core, acc);
         scheduleHitDone(core, acc, v, now_ + cfg_.l1.hitLatency);
-        stats_.counter("l1_hits")++;
+        statL1Hits_++;
         return;
     }
 
-    stats_.counter("l1_misses")++;
+    statL1Misses_++;
     RR_ASSERT(freeMshrs(core) > 0, "no free MSHR on miss path");
     auto &list = mshrs_[core];
     list.push_back(Mshr{line, core, writer ? BusKind::GetM : BusKind::GetS,
@@ -168,10 +179,10 @@ CacheMemorySystem::installL2(sim::Addr line)
 {
     if (CacheArray::Line *hit = l2_.find(line)) {
         l2_.touch(*hit);
-        stats_.counter("l2_hits")++;
+        statL2Hits_++;
         return true;
     }
-    stats_.counter("l2_misses")++;
+    statL2Misses_++;
     const auto blocked = [this](sim::Addr victim) {
         return inflight_.count(victim) > 0 || lineHasAnyMshr(victim);
     };
@@ -180,12 +191,12 @@ CacheMemorySystem::installL2(sim::Addr line)
     if (way->valid()) {
         // Inclusive L2: back-invalidate every L1 copy of the victim.
         const sim::Addr victim = way->tag;
-        stats_.counter("l2_evictions")++;
+        statL2Evictions_++;
         for (sim::CoreId c = 0; c < cfg_.numCores; ++c) {
             CacheArray::Line *l1_line = l1s_[c].find(victim);
             if (!l1_line)
                 continue;
-            stats_.counter("back_invalidations")++;
+            statBackInvalidations_++;
             if (l1_line->state == MesiState::Modified) {
                 const std::uint64_t stamp = clock_.next();
                 notifyObservers(c, [&](MemoryObserver *obs) {
@@ -256,7 +267,7 @@ CacheMemorySystem::deliverDelayedSnoops()
 void
 CacheMemorySystem::evictL1Line(sim::CoreId core, CacheArray::Line &way)
 {
-    stats_.counter("l1_evictions")++;
+    statL1Evictions_++;
     if (way.state == MesiState::Modified) {
         const std::uint64_t stamp = clock_.next();
         notifyObservers(core, [&](MemoryObserver *obs) {
@@ -404,7 +415,7 @@ SnoopyMemorySystem::grant(const BusRequest &req)
         }
     }
     if (supplied_by_cache)
-        stats_.counter("c2c_transfers")++;
+        statC2cTransfers_++;
 
     // Upgrade: the requester already holds the line in S; a GetM then
     // needs no data transfer.

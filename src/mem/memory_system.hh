@@ -170,6 +170,19 @@ class CacheMemorySystem : public CoherenceProtocol
     sim::FlatSet inflight_;
     std::priority_queue<Event, std::vector<Event>, EventLater> events_;
 
+    // Hot-path statistics, resolved once (StatSet entries are stable).
+    sim::Counter &statAccessesRead_;
+    sim::Counter &statAccessesWrite_;
+    sim::Counter &statBackInvalidations_;
+    sim::Counter &statC2cTransfers_;
+    sim::Counter &statL1Evictions_;
+    sim::Counter &statL1Hits_;
+    sim::Counter &statL1Misses_;
+    sim::Counter &statL2Evictions_;
+    sim::Counter &statL2Hits_;
+    sim::Counter &statL2Misses_;
+    sim::Counter &statMshrMerges_;
+
   private:
     /**
      * A snoop whose delivery to one core's *recorder-side* observers

@@ -36,7 +36,18 @@ IntervalRecorder::IntervalRecorder(sim::CoreId core,
                0x5ead51f0beefULL),
       writeSig_(cfg.signatureBanks, cfg.signatureBitsPerBank,
                 0x3517e51f0aceULL),
-      snoopTable_(cfg.snoopTableEntries), stats_(std::move(name))
+      snoopTable_(cfg.snoopTableEntries), stats_(std::move(name)),
+      statCountedMem_(stats_.counter("counted_mem")),
+      statDependencyEdges_(stats_.counter("dependency_edges")),
+      statIntervals_(stats_.counter("intervals")),
+      statLocalOrderForcedReorders_(
+          stats_.counter("local_order_forced_reorders")),
+      statMovedAcrossIntervals_(stats_.counter("moved_across_intervals")),
+      statReorderedAtomics_(stats_.counter("reordered_atomics")),
+      statReorderedLoads_(stats_.counter("reordered_loads")),
+      statReorderedStores_(stats_.counter("reordered_stores")),
+      statTerminationsConflict_(stats_.counter("terminations_conflict")),
+      statTerminationsMaxsize_(stats_.counter("terminations_maxsize"))
 {
     // Bind the injector at construction: an injector installed mid-run
     // is deliberately ignored so a run's fault plan is fixed up front.
@@ -81,7 +92,7 @@ IntervalRecorder::onSnoop(const mem::SnoopEvent &ev)
     const sim::Addr line = faultLine(ev.lineAddr);
     bool conflicted = false;
     if (conflicts(line, ev.isWrite)) {
-        stats_.counter("terminations_conflict")++;
+        statTerminationsConflict_++;
         terminate(Termination::Conflict, ev.cycle);
         conflicted = true;
     }
@@ -116,7 +127,7 @@ IntervalRecorder::notePredecessor(sim::CoreId src_core, sim::Isn src_isn)
         return;
     }
     current_.predecessors.push_back(IntervalDep{src_core, src_isn});
-    stats_.counter("dependency_edges")++;
+    statDependencyEdges_++;
 }
 
 void
@@ -153,7 +164,7 @@ IntervalRecorder::countNmi(std::uint32_t n, sim::Cycle now)
     intervalInstructions_ += n;
     if (cfg_.maxIntervalInstructions != 0 &&
         intervalInstructions_ >= cfg_.maxIntervalInstructions) {
-        stats_.counter("terminations_maxsize")++;
+        statTerminationsMaxsize_++;
         terminate(Termination::MaxSize, now);
     } else if (faults_ && faults_->forceTerminate(core_)) {
         stats_.counter("terminations_injected")++;
@@ -191,14 +202,14 @@ IntervalRecorder::countMem(mem::AccessKind kind, sim::Addr word_addr,
         reordered = local_write_pending ||
                     snoopTable_.conflictSince(line, ps.counts);
         if (local_write_pending)
-            stats_.counter("local_order_forced_reorders")++;
+            statLocalOrderForcedReorders_++;
         if (!reordered) {
             // Moving the perform event across intervals: the access now
             // belongs to the current interval, so its address must enter
             // the current signatures for correct interval ordering
             // (Section 4.2).
             insertSignature(kind, line);
-            stats_.counter("moved_across_intervals")++;
+            statMovedAcrossIntervals_++;
         }
         if (sim::TraceSink::enabled()) {
             sim::TraceSink::get()->instant(
@@ -213,7 +224,7 @@ IntervalRecorder::countMem(mem::AccessKind kind, sim::Addr word_addr,
 
     blockSize_ += nmi_before;
     intervalInstructions_ += nmi_before + 1;
-    stats_.counter("counted_mem")++;
+    statCountedMem_++;
 
     if (!reordered) {
         ++blockSize_;
@@ -234,24 +245,24 @@ IntervalRecorder::countMem(mem::AccessKind kind, sim::Addr word_addr,
         switch (kind) {
           case mem::AccessKind::Load:
             current_.entries.push_back(LogEntry::reorderedLoad(load_value));
-            stats_.counter("reordered_loads")++;
+            statReorderedLoads_++;
             break;
           case mem::AccessKind::Store:
             current_.entries.push_back(
                 LogEntry::reorderedStore(word_addr, store_value, offset));
-            stats_.counter("reordered_stores")++;
+            statReorderedStores_++;
             break;
           default:
             current_.entries.push_back(LogEntry::reorderedAtomic(
                 word_addr, load_value, store_value, offset));
-            stats_.counter("reordered_atomics")++;
+            statReorderedAtomics_++;
             break;
         }
     }
 
     if (cfg_.maxIntervalInstructions != 0 &&
         intervalInstructions_ >= cfg_.maxIntervalInstructions) {
-        stats_.counter("terminations_maxsize")++;
+        statTerminationsMaxsize_++;
         terminate(Termination::MaxSize, now);
     } else if (faults_ && faults_->forceTerminate(core_)) {
         stats_.counter("terminations_injected")++;
@@ -295,7 +306,7 @@ IntervalRecorder::terminate(Termination why, sim::Cycle now)
     intervalStartCycle_ = now;
     readSig_.clear();
     writeSig_.clear();
-    stats_.counter("intervals")++;
+    statIntervals_++;
 }
 
 void

@@ -175,6 +175,17 @@ class IntervalRecorder
     bool finished_ = false;
 
     sim::StatSet stats_;
+    // Hot-path statistics, resolved once (StatSet entries are stable).
+    sim::Counter &statCountedMem_;
+    sim::Counter &statDependencyEdges_;
+    sim::Counter &statIntervals_;
+    sim::Counter &statLocalOrderForcedReorders_;
+    sim::Counter &statMovedAcrossIntervals_;
+    sim::Counter &statReorderedAtomics_;
+    sim::Counter &statReorderedLoads_;
+    sim::Counter &statReorderedStores_;
+    sim::Counter &statTerminationsConflict_;
+    sim::Counter &statTerminationsMaxsize_;
 };
 
 } // namespace rr::rnr

@@ -13,8 +13,19 @@ MrrHub::MrrHub(sim::CoreId core,
                mem::StampClock &clock)
     : core_(core), clock_(clock),
       traqCapacity_(policies.empty() ? 176 : policies.front().traqEntries),
+      psRows_(traqCapacity_ * policies.size()),
       stats_(sim::strfmt("mrr%u", core)),
-      histogram_(stats_.histogram("traq_occupancy", 10, 20))
+      histogram_(stats_.histogram("traq_occupancy", 10, 20)),
+      statCountedMem_(stats_.counter("counted_mem")),
+      statCountedNmiGroups_(stats_.counter("counted_nmi_groups")),
+      statForwardedPerforms_(stats_.counter("forwarded_performs")),
+      statOooLoads_(stats_.counter("ooo_loads")),
+      statOooStores_(stats_.counter("ooo_stores")),
+      statRetiredMem_(stats_.counter("retired_mem")),
+      statSnoopsObserved_(stats_.counter("snoops_observed")),
+      statSquashedEntries_(stats_.counter("squashed_entries")),
+      statSquashedPerforms_(stats_.counter("squashed_performs")),
+      statOccupancy_(stats_.scalar("traq_occupancy"))
 {
     RR_ASSERT(!policies.empty(), "MrrHub needs at least one policy");
     for (std::size_t i = 0; i < policies.size(); ++i) {
@@ -43,15 +54,10 @@ MrrHub::accessKindOf(const TraqEntry &e)
 MrrHub::TraqEntry *
 MrrHub::findBySeq(sim::SeqNum seq)
 {
-    // Perform events target recently dispatched entries; search from the
-    // tail. The TRAQ is small (~176), so linear search is fine.
-    for (auto it = traq_.rbegin(); it != traq_.rend(); ++it) {
-        if (it->seq == seq)
-            return &*it;
-        if (it->seq < seq)
-            return nullptr;
-    }
-    return nullptr;
+    const auto it = std::lower_bound(
+        traq_.begin(), traq_.end(), seq,
+        [](const TraqEntry &e, sim::SeqNum s) { return e.seq < s; });
+    return it != traq_.end() && it->seq == seq ? &*it : nullptr;
 }
 
 bool
@@ -70,10 +76,13 @@ MrrHub::onDispatchMem(sim::SeqNum seq, const isa::Instruction &inst,
     e.kind = inst.isLoad() ? Kind::Load
                            : (inst.isStore() ? Kind::Store : Kind::Atomic);
     e.nmi = nmi_before;
-    e.ps.resize(recorders_.size());
-    traq_.push_back(std::move(e));
-    if (traq_.size() > traqCapacity_)
-        stats_.counter("traq_overflow_groups")++;
+    // The core dispatches memory only while canDispatchMem(), so at most
+    // traqCapacity_ memory entries are ever in flight.
+    RR_ASSERT(psUsed_ < traqCapacity_, "memory dispatch into a full TRAQ");
+    e.psRow = static_cast<std::uint32_t>((psHead_ + psUsed_) %
+                                         traqCapacity_);
+    ++psUsed_;
+    traq_.push_back(e);
 }
 
 void
@@ -84,7 +93,7 @@ MrrHub::onDispatchNmiGroup(sim::SeqNum last_seq, std::uint32_t count)
     e.seq = last_seq;
     e.kind = Kind::NmiGroup;
     e.nmi = count;
-    traq_.push_back(std::move(e));
+    traq_.push_back(e);
 }
 
 void
@@ -117,8 +126,9 @@ MrrHub::recordPerform(TraqEntry &e, mem::AccessKind kind, sim::Addr word,
              {"ooo", e.oooAtPerform}});
     }
 
+    IntervalRecorder::PerformState *ps = psRow(e);
     for (std::size_t i = 0; i < recorders_.size(); ++i)
-        e.ps[i] = recorders_[i]->notePerform(kind, word);
+        ps[i] = recorders_[i]->notePerform(kind, word);
 }
 
 void
@@ -130,7 +140,7 @@ MrrHub::onPerform(const mem::PerformEvent &ev)
     if (!e) {
         // Squashed wrong-path access whose request was already in
         // flight; nothing to record.
-        stats_.counter("squashed_performs")++;
+        statSquashedPerforms_++;
         return;
     }
     recordPerform(*e, ev.kind, ev.addr, ev.loadValue, ev.storeValue,
@@ -146,7 +156,7 @@ MrrHub::onForwardedLoadPerform(sim::SeqNum seq, sim::Addr word_addr,
     (void)stamp;
     TraqEntry *e = findBySeq(seq);
     RR_ASSERT(e, "forwarded perform for unknown seq");
-    stats_.counter("forwarded_performs")++;
+    statForwardedPerforms_++;
     recordPerform(*e, mem::AccessKind::Load, word_addr, value, 0, cycle);
     drainCountable(cycle);
 }
@@ -159,7 +169,7 @@ MrrHub::onRetire(const cpu::RetireInfo &info)
         TraqEntry *e = findBySeq(info.seq);
         RR_ASSERT(e, "retire for unknown TRAQ entry");
         e->retired = true;
-        stats_.counter("retired_mem")++;
+        statRetiredMem_++;
     }
     drainCountable(info.cycle);
 }
@@ -168,8 +178,10 @@ void
 MrrHub::onSquash(sim::SeqNum youngest_surviving)
 {
     while (!traq_.empty() && traq_.back().seq > youngest_surviving) {
+        if (traq_.back().kind != Kind::NmiGroup)
+            --psUsed_;
         traq_.pop_back();
-        stats_.counter("squashed_entries")++;
+        statSquashedEntries_++;
     }
 }
 
@@ -187,7 +199,7 @@ MrrHub::onSnoop(sim::CoreId observer, const mem::SnoopEvent &ev)
 {
     if (observer != core_)
         return;
-    stats_.counter("snoops_observed")++;
+    statSnoopsObserved_++;
     for (std::size_t i = 0; i < recorders_.size(); ++i) {
         IntervalRecorder &rec = *recorders_[i];
         const bool conflicted = rec.onSnoop(ev);
@@ -233,15 +245,13 @@ MrrHub::drainCountable(sim::Cycle now)
                 break;
             for (auto &r : recorders_)
                 r->countNmi(e.nmi, now);
-            stats_.counter("counted_nmi_groups")++;
+            statCountedNmiGroups_++;
         } else {
             if (!e.performed || !e.retired)
                 break;
-            if (e.oooAtPerform) {
-                stats_.counter(e.kind == Kind::Store ? "ooo_stores"
-                                                     : "ooo_loads")++;
-            }
-            stats_.counter("counted_mem")++;
+            if (e.oooAtPerform)
+                (e.kind == Kind::Store ? statOooStores_ : statOooLoads_)++;
+            statCountedMem_++;
             if (sim::TraceSink::enabled()) {
                 sim::TraceSink::get()->instant(
                     sim::TraceSink::kRecordPid, core_, "traq", "count",
@@ -268,11 +278,15 @@ MrrHub::drainCountable(sim::Cycle now)
                     break;
                 }
             }
+            const IntervalRecorder::PerformState *ps = psRow(e);
             for (std::size_t i = 0; i < recorders_.size(); ++i) {
                 recorders_[i]->countMem(kind, e.word, e.loadValue,
-                                        e.storeValue, e.nmi, e.ps[i], now,
+                                        e.storeValue, e.nmi, ps[i], now,
                                         local_write_pending);
             }
+            RR_ASSERT(e.psRow == psHead_, "TRAQ perform-state ring skew");
+            psHead_ = (psHead_ + 1) % traqCapacity_;
+            --psUsed_;
         }
         traq_.pop_front();
     }
@@ -290,8 +304,7 @@ MrrHub::drainCountable(sim::Cycle now)
 void
 MrrHub::sampleOccupancy()
 {
-    stats_.scalar("traq_occupancy").sample(
-        static_cast<double>(traq_.size()));
+    statOccupancy_.sample(static_cast<double>(traq_.size()));
     histogram_.sample(traq_.size());
 }
 

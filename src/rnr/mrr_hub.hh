@@ -106,10 +106,16 @@ class MrrHub : public cpu::CoreListener, public mem::MemoryObserver
         bool performed = false;
         bool retired = false;
         bool oooAtPerform = false;
-        std::vector<IntervalRecorder::PerformState> ps;
+        /** Row of per-policy perform state in psRows_ (memory entries). */
+        std::uint32_t psRow = 0;
     };
 
+    /** The entry with sequence number @p seq, or nullptr. */
     TraqEntry *findBySeq(sim::SeqNum seq);
+    IntervalRecorder::PerformState *psRow(const TraqEntry &e)
+    {
+        return &psRows_[std::size_t{e.psRow} * recorders_.size()];
+    }
     void recordPerform(TraqEntry &e, mem::AccessKind kind, sim::Addr word,
                        std::uint64_t load_value, std::uint64_t store_value,
                        sim::Cycle cycle);
@@ -122,7 +128,18 @@ class MrrHub : public cpu::CoreListener, public mem::MemoryObserver
     std::vector<MrrHub *> peers_;
     std::size_t traqCapacity_;
 
+    /** In program (= seq) order: entries leave at the head when
+     *  counted and at the tail when squashed. */
     std::deque<TraqEntry> traq_;
+    /**
+     * Per-policy perform state of the memory entries, one row of
+     * numPolicies() each, sized once for a full TRAQ. Memory entries
+     * take rows in the same FIFO order as they sit in the TRAQ, so the
+     * rows form a ring: psHead_ is the oldest entry's row.
+     */
+    std::vector<IntervalRecorder::PerformState> psRows_;
+    std::uint32_t psHead_ = 0;
+    std::uint32_t psUsed_ = 0;
     /** Exclusive retirement watermark: seqs < retiredUpTo_ retired. */
     sim::SeqNum retiredUpTo_ = 0;
     bool haltPending_ = false;
@@ -133,6 +150,17 @@ class MrrHub : public cpu::CoreListener, public mem::MemoryObserver
     sim::StatSet stats_;
     /** Registered in stats_ ("traq_occupancy"); exported with them. */
     sim::Histogram &histogram_;
+    // Hot-path statistics, resolved once (StatSet entries are stable).
+    sim::Counter &statCountedMem_;
+    sim::Counter &statCountedNmiGroups_;
+    sim::Counter &statForwardedPerforms_;
+    sim::Counter &statOooLoads_;
+    sim::Counter &statOooStores_;
+    sim::Counter &statRetiredMem_;
+    sim::Counter &statSnoopsObserved_;
+    sim::Counter &statSquashedEntries_;
+    sim::Counter &statSquashedPerforms_;
+    sim::ScalarStat &statOccupancy_;
 };
 
 } // namespace rr::rnr
