@@ -56,12 +56,14 @@ void
 validateCache(const char *name, const CacheConfig &c)
 {
     if (c.sizeBytes == 0 || c.sizeBytes % (kLineBytes * c.associativity))
-        fatal("%s: size must be a multiple of line*assoc", name);
+        throw ConfigError(
+            strfmt("%s: size must be a multiple of line*assoc", name));
     if (!isPow2(c.numSets()))
-        fatal("%s: number of sets (%u) must be a power of two", name,
-              c.numSets());
+        throw ConfigError(
+            strfmt("%s: number of sets (%u) must be a power of two", name,
+                   c.numSets()));
     if (c.mshrEntries == 0)
-        fatal("%s: need at least one MSHR", name);
+        throw ConfigError(strfmt("%s: need at least one MSHR", name));
 }
 
 } // namespace
@@ -70,18 +72,18 @@ void
 MachineConfig::validate() const
 {
     if (numCores == 0)
-        fatal("machine needs at least one core");
+        throw ConfigError("machine needs at least one core");
     if (core.robEntries == 0 || core.lsqEntries == 0)
-        fatal("core queues must be non-empty");
+        throw ConfigError("core queues must be non-empty");
     if (core.fetchWidth == 0 || core.retireWidth == 0)
-        fatal("core widths must be non-zero");
+        throw ConfigError("core widths must be non-zero");
     if (core.writeBufferEntries == 0)
-        fatal("write buffer must be non-empty");
+        throw ConfigError("write buffer must be non-empty");
     if (!isPow2(core.predictorEntries))
-        fatal("predictor entries must be a power of two");
+        throw ConfigError("predictor entries must be a power of two");
     if (coherence == CoherenceKind::Directory && numCores > 64)
-        fatal("directory coherence supports at most 64 cores "
-              "(full-map sharer bitvector)");
+        throw ConfigError("directory coherence supports at most 64 cores "
+                          "(full-map sharer bitvector)");
     validateCache("L1", l1);
     validateCache("L2", l2);
 }

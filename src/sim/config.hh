@@ -8,6 +8,7 @@
 #define RR_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "sim/types.hh"
@@ -149,8 +150,18 @@ struct MachineConfig
     /** Total shared L2 capacity across all per-core shares. */
     std::uint32_t totalL2Bytes() const { return l2.sizeBytes * numCores; }
 
-    /** Abort with fatal() if the configuration is inconsistent. */
+    /** @throw ConfigError if the configuration is inconsistent. */
     void validate() const;
+};
+
+/**
+ * An inconsistent MachineConfig, reported by MachineConfig::validate().
+ * A usage error: the CLIs exit 2 and the daemon fails only that job.
+ */
+class ConfigError : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
 };
 
 } // namespace rr::sim

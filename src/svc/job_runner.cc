@@ -88,6 +88,16 @@ struct RecordRun
     machine::RecordingResult rec;
 };
 
+/** The machine a record job of @p p runs on. */
+sim::MachineConfig
+machineFor(const JobParams &p)
+{
+    sim::MachineConfig cfg;
+    cfg.numCores = p.cores;
+    cfg.coherence = p.coherence;
+    return cfg;
+}
+
 /**
  * Record @p p's kernel, streaming into @p writer when set. The
  * interval sink doubles as the record-side cancellation poll: every
@@ -103,9 +113,7 @@ recordKernel(const JobParams &p, const CancelToken &token,
     RecordRun run;
     run.workload = workloads::buildKernel(p.kernel, wp);
 
-    sim::MachineConfig cfg;
-    cfg.numCores = p.cores;
-    cfg.coherence = p.coherence;
+    const sim::MachineConfig cfg = machineFor(p);
     std::vector<sim::RecorderConfig> policies(1);
     policies[0].mode = p.mode;
     policies[0].maxIntervalInstructions = p.intervalCap;
@@ -131,6 +139,7 @@ JobOutcome
 runRecord(const JobParams &p, const CancelToken &token)
 {
     JobOutcome out;
+    machineFor(p).validate(); // before a staging file exists
     std::unique_ptr<rnr::LogWriter> writer;
     if (!p.outFile.empty())
         writer =
@@ -470,6 +479,11 @@ runJob(const JobParams &params, const CancelToken &token)
     } catch (const rnr::LogStoreError &e) {
         JobOutcome out;
         out.errorClass = e.kind() == rnr::LogErrorKind::Io ? 3 : 1;
+        out.message = e.what();
+        return out;
+    } catch (const sim::ConfigError &e) {
+        JobOutcome out;
+        out.errorClass = 2; // the request asked for an impossible machine
         out.message = e.what();
         return out;
     } catch (const std::exception &e) {

@@ -496,6 +496,36 @@ TEST_F(ServeTest, MalformedLinesGetTypedRejectionsAndServerSurvives)
     EXPECT_EQ(parseEvent(*pong2).get("event").asString(), "pong");
 }
 
+TEST_F(ServeTest, InvalidMachineFailsOnlyThatJob)
+{
+    // Directory coherence tracks sharers in a 64-bit full map; asking
+    // for a bigger directory machine is a usage error of this one job,
+    // and the daemon keeps serving.
+    startServer(Server::Options{});
+    Client client = connect();
+    std::string error;
+    std::vector<std::string> seen;
+    ASSERT_TRUE(client.sendLine(
+        R"({"op":"record","kernel":"fft","cores":128,)"
+        R"("coherence":"directory","tag":"too-wide"})",
+        error));
+    auto terminal = pumpUntil(
+        client,
+        [](const Json &e) { return eventIsTerminal(e); }, seen, 60.0);
+    ASSERT_TRUE(terminal.has_value());
+    const Json ev = parseEvent(*terminal);
+    EXPECT_EQ(ev.get("event").asString(), "failed") << *terminal;
+    EXPECT_EQ(ev.get("error").asString(), "INVALID") << *terminal;
+    EXPECT_NE(ev.get("message").asString().find("at most 64 cores"),
+              std::string::npos)
+        << *terminal;
+
+    ASSERT_TRUE(client.sendLine(R"({"op":"ping"})", error));
+    auto pong = client.readLine(error, 30.0);
+    ASSERT_TRUE(pong.has_value()) << error;
+    EXPECT_EQ(parseEvent(*pong).get("event").asString(), "pong");
+}
+
 // --- byte identity: daemon result vs direct in-process run ------------
 
 TEST_F(ServeTest, DaemonResultsAreByteIdenticalToDirectRuns)

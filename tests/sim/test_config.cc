@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/config.hh"
 
 namespace
@@ -57,18 +59,43 @@ TEST(Config, ValidateAcceptsDefaults)
     cfg.validate();
 }
 
+/** validate() must throw ConfigError naming @p what. */
+void
+expectConfigError(const MachineConfig &cfg, const std::string &what)
+{
+    try {
+        cfg.validate();
+        ADD_FAILURE() << "no ConfigError for '" << what << "'";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ConfigDeathTest, RejectsZeroCores)
 {
     MachineConfig cfg;
     cfg.numCores = 0;
-    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "core");
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    expectConfigError(cfg, "core");
 }
 
 TEST(ConfigDeathTest, RejectsNonPow2Sets)
 {
     MachineConfig cfg;
     cfg.l1.sizeBytes = 96 * 1024; // 768 sets: not a power of two
-    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "sets");
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    expectConfigError(cfg, "sets");
+}
+
+TEST(Config, RejectsDirectoryBeyond64Cores)
+{
+    MachineConfig cfg;
+    cfg.coherence = CoherenceKind::Directory;
+    cfg.numCores = 64;
+    cfg.validate();
+    cfg.numCores = 65;
+    expectConfigError(cfg, "at most 64 cores");
 }
 
 TEST(Config, LineHelpers)

@@ -410,6 +410,16 @@ summaryOf(const machine::RecordingResult &rec,
     return s;
 }
 
+/** The machine `record`, `replay KERNEL` and `sweep` build for @p o. */
+sim::MachineConfig
+machineFor(const Options &o)
+{
+    sim::MachineConfig cfg;
+    cfg.numCores = o.cores;
+    cfg.coherence = o.coherence;
+    return cfg;
+}
+
 /** @param writer When set, streams policy 0's intervals during the run. */
 Run
 record(const Options &o, rnr::LogWriter *writer = nullptr)
@@ -420,9 +430,7 @@ record(const Options &o, rnr::LogWriter *writer = nullptr)
     Run run;
     run.workload = workloads::buildKernel(o.kernel, wp);
 
-    sim::MachineConfig cfg;
-    cfg.numCores = o.cores;
-    cfg.coherence = o.coherence;
+    const sim::MachineConfig cfg = machineFor(o);
     std::vector<sim::RecorderConfig> policies(1);
     policies[0].mode = o.mode;
     policies[0].maxIntervalInstructions = o.interval;
@@ -478,6 +486,7 @@ printRecordingStats(const Run &run, const Options &o)
 int
 cmdRecord(const Options &o)
 {
+    machineFor(o).validate(); // before a staging file exists
     std::unique_ptr<rnr::LogWriter> writer;
     if (!o.outFile.empty()) {
         rnr::WriterOptions wopts;
@@ -927,6 +936,7 @@ cmdSweep(const Options &o)
     const char *pol_names[4] = {"Base-4K", "Base-INF", "Opt-4K",
                                 "Opt-INF"};
 
+    machineFor(o).validate(); // on this thread, not in a worker
     sim::SweepRunner runner(o.jobs);
     std::vector<machine::RecordingResult> recs(kernels.size());
     for (std::size_t i = 0; i < kernels.size(); ++i) {
@@ -935,10 +945,7 @@ cmdSweep(const Options &o)
             wp.numThreads = o.cores;
             wp.scale = o.scale;
             const auto w = workloads::buildKernel(kernels[i], wp);
-            sim::MachineConfig cfg;
-            cfg.numCores = o.cores;
-            cfg.coherence = o.coherence;
-            machine::Machine m(cfg, w.program, pol);
+            machine::Machine m(machineFor(o), w.program, pol);
             recs[i] = m.run(5'000'000'000ULL);
             runner.countInstructions(recs[i].totalInstructions);
             if (!o.statsJson.empty()) {
@@ -1301,6 +1308,9 @@ main(int argc, char **argv)
     } catch (const rnr::LogStoreError &e) {
         std::fprintf(stderr, "rrsim: %s\n", e.what());
         rc = e.kind() == rnr::LogErrorKind::Io ? 3 : 1;
+    } catch (const sim::ConfigError &e) {
+        std::fprintf(stderr, "rrsim: invalid machine: %s\n", e.what());
+        rc = 2;
     }
     sim::TraceSink::close();
     return rc;
